@@ -17,13 +17,7 @@
 // compare that happened to produce the right answer still counts as read).
 package forensics
 
-import (
-	"fmt"
-
-	"mbusim/internal/cache"
-	"mbusim/internal/cpu"
-	"mbusim/internal/tlb"
-)
+import "fmt"
 
 // Mode selects how much forensics a campaign records per sample.
 type Mode int
@@ -147,36 +141,17 @@ type Report struct {
 	DivergeCycle uint64
 }
 
-// cellKind classifies a flipped bit by which hardware events consult it.
-type cellKind uint8
-
-const (
-	kindCacheValid cellKind = iota
-	kindCacheDirty
-	kindCacheTag
-	kindCacheData
-	kindTLBCAM
-	kindTLBPayload
-	kindTLBSpare
-	kindRegData
-	kindRegReady
-)
-
 type trCell struct {
-	kind    cellKind
-	row     int
-	set     int // cache kinds: set index of row; else -1
-	byteIdx int // kindCacheData: byte offset within the line; else -1
-	read    uint64
-	wb      uint64
-	clear   uint64
-	refill  bool // clear came from a line refill
+	idx    int // cell index in the target's Geometry
+	read   uint64
+	wb     uint64
+	clear  uint64
+	refill bool // clear came from a line refill
 }
 
-// Tracker follows the corrupted bits of a single injection. It implements
-// the cache, TLB and register-file probe interfaces; Attach installs it on
-// the target. Not safe for concurrent use — each sample owns its own
-// tracker, like its own machine.
+// Tracker follows the corrupted bits of a single injection. It is a Sink
+// over the target's event stream; Attach installs it. Not safe for
+// concurrent use — each sample owns its own tracker, like its own machine.
 type Tracker struct {
 	now        func() uint64
 	armCycle   uint64
@@ -194,22 +169,20 @@ func NewTracker(now func() uint64) *Tracker {
 	return &Tracker{now: now}
 }
 
-// Attach classifies the flipped bits against the concrete target type and
-// installs the tracker as the target's access probe. Call it inside the
-// injection callback, after the mask has been applied. It returns an error
-// for target types it does not know.
+// Attach maps the flipped bits onto the target's cells and installs the
+// tracker on the target's event stream. Call it inside the injection
+// callback, after the mask has been applied. It returns an error for
+// target types it does not know.
 func (t *Tracker) Attach(target any, mask []BitCell) error {
 	t.armCycle = t.now()
-	switch tg := target.(type) {
-	case *cache.Cache:
-		t.attachCache(tg, mask)
-	case *tlb.TLB:
-		t.attachTLB(tg, mask)
-	case *cpu.RegFile:
-		t.attachRegFile(tg, mask)
-	default:
-		return fmt.Errorf("forensics: unsupported target %T", target)
+	g, detach, err := Listen(target, t)
+	if err != nil {
+		return err
 	}
+	for _, mc := range mask {
+		t.cells = append(t.cells, trCell{idx: g.Cell(mc.Row, mc.Col)})
+	}
+	t.detach = detach
 	return nil
 }
 
@@ -225,55 +198,23 @@ func (t *Tracker) Detach() {
 	}
 }
 
-func (t *Tracker) attachCache(c *cache.Cache, mask []BitCell) {
-	stateBits := c.StateBits()
-	ways := c.Config().Ways
-	for _, mc := range mask {
-		cl := trCell{row: mc.Row, set: mc.Row / ways, byteIdx: -1}
-		switch {
-		case mc.Col == 0:
-			cl.kind = kindCacheValid
-		case mc.Col == 1:
-			cl.kind = kindCacheDirty
-		case mc.Col < stateBits:
-			cl.kind = kindCacheTag
+// OnCells implements Sink. It checks only the tracked cells against the
+// range, so an event costs O(mask bits) however many cells it spans.
+func (t *Tracker) OnCells(k EventKind, lo, hi int) {
+	for i := range t.cells {
+		c := &t.cells[i]
+		if c.idx < lo || c.idx >= hi {
+			continue
+		}
+		switch k {
+		case Read:
+			t.markRead(c)
+		case Writeback:
+			t.markWB(c)
 		default:
-			cl.kind = kindCacheData
-			cl.byteIdx = (mc.Col - stateBits) / 8
+			t.markClear(c, k == Refill)
 		}
-		t.cells = append(t.cells, cl)
 	}
-	c.SetProbe(t)
-	t.detach = func() { c.SetProbe(nil) }
-}
-
-func (t *Tracker) attachTLB(tb *tlb.TLB, mask []BitCell) {
-	for _, mc := range mask {
-		cl := trCell{row: mc.Row, set: -1, byteIdx: -1}
-		switch tlb.ClassifyCol(mc.Col) {
-		case tlb.ColCAM:
-			cl.kind = kindTLBCAM
-		case tlb.ColPayload:
-			cl.kind = kindTLBPayload
-		default:
-			cl.kind = kindTLBSpare
-		}
-		t.cells = append(t.cells, cl)
-	}
-	tb.SetProbe(t)
-	t.detach = func() { tb.SetProbe(nil) }
-}
-
-func (t *Tracker) attachRegFile(rf *cpu.RegFile, mask []BitCell) {
-	for _, mc := range mask {
-		cl := trCell{row: mc.Row, set: -1, byteIdx: -1, kind: kindRegData}
-		if mc.Col == cpu.ReadyCol {
-			cl.kind = kindRegReady
-		}
-		t.cells = append(t.cells, cl)
-	}
-	rf.SetProbe(t)
-	t.detach = func() { rf.SetProbe(nil) }
 }
 
 // tick returns the current cycle, clamped to 1 so it can never alias the
@@ -323,168 +264,6 @@ func (t *Tracker) markClear(c *trCell, refill bool) {
 	c.refill = refill
 	if t.firstTouch == 0 {
 		t.firstTouch = cyc
-	}
-}
-
-// --- cache.Probe ---
-
-// OnLookup implements cache.Probe: the parallel tag read consults valid +
-// tag bits of every way in the probed set.
-func (t *Tracker) OnLookup(set uint32) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.set == int(set) && (c.kind == kindCacheValid || c.kind == kindCacheTag) {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnReadData implements cache.Probe.
-func (t *Tracker) OnReadData(row, off, n int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindCacheData && c.row == row && c.byteIdx >= off && c.byteIdx < off+n {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnWriteData implements cache.Probe: overwritten data bytes are cleared,
-// and the dirty bit is rewritten (stores set it unconditionally).
-func (t *Tracker) OnWriteData(row, off, n int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row != row {
-			continue
-		}
-		switch c.kind {
-		case kindCacheData:
-			if c.byteIdx >= off && c.byteIdx < off+n {
-				t.markClear(c, false)
-			}
-		case kindCacheDirty:
-			t.markClear(c, false)
-		}
-	}
-}
-
-// OnEvict implements cache.Probe: choosing a fill victim consults its valid
-// and dirty bits.
-func (t *Tracker) OnEvict(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && (c.kind == kindCacheValid || c.kind == kindCacheDirty) {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnWriteback implements cache.Probe: the victim's tag bits form the
-// writeback address and its data bytes escape to the next level.
-func (t *Tracker) OnWriteback(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && (c.kind == kindCacheTag || c.kind == kindCacheData) {
-			t.markWB(c)
-		}
-	}
-}
-
-// OnFill implements cache.Probe: a refill rewrites the whole line —
-// valid, dirty, tag and data.
-func (t *Tracker) OnFill(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row {
-			t.markClear(c, true)
-		}
-	}
-}
-
-// --- tlb.Probe ---
-
-// OnTLBLookup implements tlb.Probe: the CAM compare consults valid + VPN
-// bits of every entry; on a hit, the hit entry's payload enters the
-// datapath.
-func (t *Tracker) OnTLBLookup(hit int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		switch c.kind {
-		case kindTLBCAM:
-			t.markRead(c)
-		case kindTLBPayload:
-			if c.row == hit {
-				t.markRead(c)
-			}
-		}
-	}
-}
-
-// OnTLBInsert implements tlb.Probe: the whole entry is overwritten.
-func (t *Tracker) OnTLBInsert(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && isTLBKind(c.kind) {
-			t.markClear(c, false)
-		}
-	}
-}
-
-// OnTLBInvalidate implements tlb.Probe: every entry is cleared.
-func (t *Tracker) OnTLBInvalidate() {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if isTLBKind(c.kind) {
-			t.markClear(c, false)
-		}
-	}
-}
-
-func isTLBKind(k cellKind) bool {
-	return k == kindTLBCAM || k == kindTLBPayload || k == kindTLBSpare
-}
-
-// --- cpu.RegProbe ---
-
-// OnRegRead implements cpu.RegProbe.
-func (t *Tracker) OnRegRead(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindRegData && c.row == row {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnRegReadyRead implements cpu.RegProbe.
-func (t *Tracker) OnRegReadyRead(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindRegReady && c.row == row {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnRegWrite implements cpu.RegProbe: the value and ready bit are both
-// rewritten.
-func (t *Tracker) OnRegWrite(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && (c.kind == kindRegData || c.kind == kindRegReady) {
-			t.markClear(c, false)
-		}
-	}
-}
-
-// OnRegAlloc implements cpu.RegProbe: reallocation rewrites the ready bit;
-// the stale (possibly corrupted) value survives until the producer writes.
-func (t *Tracker) OnRegAlloc(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindRegReady && c.row == row {
-			t.markClear(c, false)
-		}
 	}
 }
 

@@ -5,33 +5,16 @@ import (
 
 	"mbusim/internal/cache"
 	"mbusim/internal/cpu"
+	"mbusim/internal/mem"
 	"mbusim/internal/tlb"
 )
 
-// fakeLevel is a flat backing store so a cache under test can fill and
-// write back without a real memory hierarchy. Fixed-size array: no
-// allocations on the hot path, which the zero-alloc test depends on.
-type fakeLevel struct {
-	mem [1 << 16]byte
-}
-
-func (f *fakeLevel) ReadLine(pa uint32, dst []byte) int {
-	copy(dst, f.mem[pa:])
-	return 1
-}
-
-func (f *fakeLevel) WriteLine(pa uint32, src []byte) int {
-	copy(f.mem[pa:], src)
-	return 1
-}
-
-// testCache returns a small cache (8 sets x 2 ways, 16 B lines) plus a
-// manual cycle counter the tracker reads.
-func testCache(t *testing.T) (*cache.Cache, *fakeLevel) {
-	t.Helper()
+// testCache returns a small cache (8 sets x 2 ways, 16 B lines) over a
+// flat RAM.
+func testCache() *cache.Cache {
 	return cache.New(cache.Config{
 		Name: "L1D", Size: 256, Ways: 2, LineSize: 16, Latency: 1, PABits: 16,
-	}, &fakeLevel{}), nil
+	}, mem.NewRAM(1<<16))
 }
 
 func TestParseMode(t *testing.T) {
@@ -103,7 +86,7 @@ func track(t *testing.T, target any, cyc *uint64, cells ...BitCell) *Tracker {
 }
 
 func TestCacheDataReadFate(t *testing.T) {
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Read(0x000, buf[:]) // warm row 0 of set 0
 	cyc := uint64(100)
@@ -127,7 +110,7 @@ func TestCacheMetadataConsultedByLookup(t *testing.T) {
 	// A tag flip in set 0 must count as read on ANY access probing set 0:
 	// the parallel tag compare consults every way. This is what guarantees
 	// an SDC caused by a wrong-way hit still resolves to read-then-sdc.
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Read(0x000, buf[:])
 	cyc := uint64(10)
@@ -143,7 +126,7 @@ func TestCacheMetadataConsultedByLookup(t *testing.T) {
 }
 
 func TestCacheOverwrittenFate(t *testing.T) {
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Read(0x000, buf[:])
 	cyc := uint64(5)
@@ -164,7 +147,7 @@ func TestCacheRefilledFate(t *testing.T) {
 	// Corrupt data in a CLEAN line, then force its eviction: the line is
 	// dropped and refilled, discarding the corruption — the paper's
 	// clean-line masking mechanism.
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Read(0x000, buf[:]) // row 0, set 0
 	c.Read(0x100, buf[:]) // row 1, set 0 (second way; set = pa>>4 & 7)
@@ -186,7 +169,7 @@ func TestCacheWrittenBackFate(t *testing.T) {
 	// Corrupt a data byte of a DIRTY line outside the stored bytes, then
 	// evict it: the corruption escapes to the next level in the writeback —
 	// the paper's dirty-line latent-SDC mechanism.
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Write(0x000, buf[:]) // row 0 dirty (bytes 0..3 written)
 	c.Read(0x100, buf[:])  // row 1, set 0
@@ -205,7 +188,7 @@ func TestCacheWrittenBackFate(t *testing.T) {
 }
 
 func TestCacheNeverTouchedFate(t *testing.T) {
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Read(0x000, buf[:])
 	cyc := uint64(3)
@@ -229,7 +212,7 @@ func TestPartialClearResolvesToClearFate(t *testing.T) {
 	// state. The sample resolves to the clear-based fate (never-touched is
 	// reserved for zero events), keeping FirstTouchLat == -1 iff
 	// never-touched.
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Read(0x000, buf[:]) // row 0, set 0
 	c.Read(0x100, buf[:]) // row 1, set 0
@@ -249,7 +232,7 @@ func TestPartialClearResolvesToClearFate(t *testing.T) {
 }
 
 func TestReadBeatsWritebackOnTie(t *testing.T) {
-	c, _ := testCache(t)
+	c := testCache()
 	var buf [4]byte
 	c.Write(0x000, buf[:])
 	cyc := uint64(1)
@@ -403,7 +386,7 @@ func TestRegFileFates(t *testing.T) {
 }
 
 func TestDivergedFate(t *testing.T) {
-	c, _ := testCache(t)
+	c := testCache()
 	cyc := uint64(100)
 	col := c.StateBits()
 	c.FlipBit(0, col)
@@ -433,13 +416,22 @@ func TestCycleZeroClamped(t *testing.T) {
 	}
 }
 
-// TestDisabledPathAllocFree pins the forensics-off cost of every hooked
-// component path: with a nil probe, the hot paths must not allocate.
+// TestDisabledPathAllocFree pins the probe-off cost of every hooked
+// component path, for structures never probed and for structures whose
+// probe was detached again (a forensics sample's end, a profiler's
+// Finish): with a nil probe, the hot paths must not allocate.
 func TestDisabledPathAllocFree(t *testing.T) {
-	c, _ := testCache(t)
+	c := testCache()
 	tb := tlb.New("DTLB", 8)
 	tb.Insert(5, 9, true, true)
 	rf := cpu.NewRegFile(8)
+	for _, target := range []any{c, tb, rf} {
+		tr := NewTracker(func() uint64 { return 0 })
+		if err := tr.Attach(target, []BitCell{{Row: 0, Col: 0}}); err != nil {
+			t.Fatal(err)
+		}
+		tr.Detach()
+	}
 	var buf [4]byte
 	c.Read(0x000, buf[:]) // warm up
 	c.Write(0x004, buf[:])

@@ -3,15 +3,14 @@
 // live (ACE) state when, how long written values sit before their first
 // consume, and how occupancy evolves over the run.
 //
-// The profiler reuses the forensics probe hook points (cache.Probe,
-// tlb.Probe, cpu.RegProbe) but tracks the *whole* structure instead of one
-// injected mask: every row x bit-class is a tracked cell carrying its
-// current write ("def") cycle, first/last consume cycles and last-touch
-// cycle. The event fan-out mirrors internal/forensics exactly — a
-// set-associative lookup consults valid+tag of every way in the probed
-// set, a TLB lookup CAM-compares every entry, a writeback reads tag+data —
-// so the analytical model and the measured fault fates describe the same
-// hardware events. Two summaries fall out:
+// The profiler is a second reducer over the event stream of
+// internal/forensics (forensics.Listen): where the fault tracker watches
+// the cells of one injected mask, the profiler tracks *every* cell of the
+// structure's forensics.Geometry, each carrying its current write ("def")
+// cycle, first/last consume cycles and last-touch cycle. Reads and
+// writebacks consume a cell; writes and refills define it. The analytical
+// model and the measured fault fates therefore describe the same hardware
+// events by construction. Two summaries fall out:
 //
 //   - ACE bit-cycles: for each generation of a cell (write..last read),
 //     the interval during which a flipped bit would have been consumed.
@@ -32,6 +31,7 @@ import (
 
 	"mbusim/internal/cache"
 	"mbusim/internal/cpu"
+	"mbusim/internal/forensics"
 	"mbusim/internal/sim"
 	"mbusim/internal/tlb"
 )
@@ -51,9 +51,9 @@ func lifeBucket(d uint64) int {
 	return b
 }
 
-// cell is one tracked row x bit-class unit. Data is tracked per byte (the
-// granularity the probes report), metadata per field — the same cells the
-// forensics tracker classifies an injected mask into.
+// cell is one tracked cell of the structure's forensics.Geometry: data is
+// tracked per byte, metadata per field — the same cells the forensics
+// tracker maps an injected mask onto.
 type cell struct {
 	class uint16 // index into the component's class table
 	width uint16 // bits this cell stands for
@@ -69,9 +69,7 @@ type cell struct {
 // compTracker is the per-structure profiler: the flat cell array, the
 // per-class aggregates it folds into, and the occupancy window series.
 type compTracker struct {
-	name    string
-	rows    int
-	cols    int
+	g       *forensics.Geometry
 	now     func() uint64
 	cells   []cell
 	classes []ClassProfile
@@ -79,13 +77,57 @@ type compTracker struct {
 	// Window sampling state, filled by Profiler.sample.
 	target   any // the concrete structure, for StructState
 	rowLive  func(row int) bool
-	hasDirty bool
 	occBP    []uint32
 	dirtyBP  []uint32
 	rowValid []byte
 	rowBytes int
 
 	detach func()
+}
+
+// newCompTracker allocates a cell for every cell of target's
+// forensics.Geometry and installs the tracker on target's event stream.
+func newCompTracker(target any, now func() uint64) *compTracker {
+	t := &compTracker{now: now, target: target}
+	g, detach, err := forensics.Listen(target, t)
+	if err != nil {
+		panic(err) // every injectable structure has a geometry
+	}
+	t.g, t.detach = g, detach
+	t.classes = make([]ClassProfile, len(g.Classes))
+	t.cells = make([]cell, g.Cells)
+	for k, cl := range g.Classes {
+		n := g.Rows * cl.PerRow
+		t.classes[k] = ClassProfile{Name: cl.Name, Bits: uint64(n) * uint64(cl.Width)}
+		for i := cl.Base; i < cl.Base+n; i++ {
+			t.cells[i] = cell{class: uint16(k), width: uint16(cl.Width)}
+		}
+	}
+	switch tg := target.(type) {
+	case *cache.Cache:
+		t.rowLive = func(row int) bool {
+			_, valid, _, _ := tg.LineState(row)
+			return valid
+		}
+	case *tlb.TLB:
+		t.rowLive = tg.ValidAt
+	case *cpu.RegFile:
+		t.rowLive = tg.ReadyAt
+	}
+	return t
+}
+
+// OnCells implements forensics.Sink: reads and writebacks consume every
+// cell of the range, writes and refills define it.
+func (t *compTracker) OnCells(k forensics.EventKind, lo, hi int) {
+	consume := k == forensics.Read || k == forensics.Writeback
+	for i := lo; i < hi; i++ {
+		if consume {
+			t.consume(i)
+		} else {
+			t.define(i)
+		}
+	}
 }
 
 // tick returns the current cycle clamped to 1, the same "never happened"
@@ -150,210 +192,6 @@ func (t *compTracker) finish(end uint64) {
 	}
 }
 
-// --- cache tracker ---
-
-// Cache cell layout: valid cells [0,rows), dirty [rows,2rows), tag
-// [2rows,3rows) (one cell of tagBits width per row), then one cell per
-// data byte, line-major.
-type cacheProbe struct {
-	t        *compTracker
-	ways     int
-	lineSize int
-	dataBase int // 3*rows
-}
-
-func newCacheTracker(c *cache.Cache, now func() uint64) *compTracker {
-	cfg := c.Config()
-	rows := c.Rows()
-	tagBits := c.StateBits() - 2
-	t := &compTracker{
-		name: c.Name(), rows: rows, cols: c.Cols(), now: now,
-		target: c, hasDirty: true,
-	}
-	t.classes = []ClassProfile{
-		{Name: "valid", Bits: uint64(rows)},
-		{Name: "dirty", Bits: uint64(rows)},
-		{Name: "tag", Bits: uint64(rows) * uint64(tagBits)},
-		{Name: "data", Bits: uint64(rows) * uint64(cfg.LineSize) * 8},
-	}
-	t.cells = make([]cell, 3*rows+rows*cfg.LineSize)
-	for r := 0; r < rows; r++ {
-		t.cells[r] = cell{class: 0, width: 1}
-		t.cells[rows+r] = cell{class: 1, width: 1}
-		t.cells[2*rows+r] = cell{class: 2, width: uint16(tagBits)}
-	}
-	for i := 3 * rows; i < len(t.cells); i++ {
-		t.cells[i] = cell{class: 3, width: 8}
-	}
-	t.rowLive = func(row int) bool {
-		_, valid, _, _ := c.LineState(row)
-		return valid
-	}
-	c.SetProbe(&cacheProbe{t: t, ways: cfg.Ways, lineSize: cfg.LineSize, dataBase: 3 * rows})
-	t.detach = func() { c.SetProbe(nil) }
-	return t
-}
-
-// OnLookup implements cache.Probe: the parallel tag read consults valid +
-// tag bits of every way in the probed set.
-func (p *cacheProbe) OnLookup(set uint32) {
-	base := int(set) * p.ways
-	for w := 0; w < p.ways; w++ {
-		row := base + w
-		p.t.consume(row)              // valid
-		p.t.consume(2*p.t.rows + row) // tag
-	}
-}
-
-// OnReadData implements cache.Probe.
-func (p *cacheProbe) OnReadData(row, off, n int) {
-	base := p.dataBase + row*p.lineSize + off
-	for i := 0; i < n; i++ {
-		p.t.consume(base + i)
-	}
-}
-
-// OnWriteData implements cache.Probe: the written bytes and the dirty bit
-// are rewritten.
-func (p *cacheProbe) OnWriteData(row, off, n int) {
-	base := p.dataBase + row*p.lineSize + off
-	for i := 0; i < n; i++ {
-		p.t.define(base + i)
-	}
-	p.t.define(p.t.rows + row) // dirty bit set unconditionally
-}
-
-// OnEvict implements cache.Probe: choosing a fill victim consults its
-// valid and dirty bits.
-func (p *cacheProbe) OnEvict(row int) {
-	p.t.consume(row)            // valid
-	p.t.consume(p.t.rows + row) // dirty
-}
-
-// OnWriteback implements cache.Probe: the tag bits form the writeback
-// address and the data bytes escape to the next level.
-func (p *cacheProbe) OnWriteback(row int) {
-	p.t.consume(2*p.t.rows + row)
-	base := p.dataBase + row*p.lineSize
-	for i := 0; i < p.lineSize; i++ {
-		p.t.consume(base + i)
-	}
-}
-
-// OnFill implements cache.Probe: a refill rewrites the whole line.
-func (p *cacheProbe) OnFill(row int) {
-	p.t.define(row)
-	p.t.define(p.t.rows + row)
-	p.t.define(2*p.t.rows + row)
-	base := p.dataBase + row*p.lineSize
-	for i := 0; i < p.lineSize; i++ {
-		p.t.define(base + i)
-	}
-}
-
-// --- TLB tracker ---
-
-// TLB cell layout: CAM cells [0,rows), payload [rows,2rows), spare
-// [2rows,3rows). Widths are derived from tlb.ClassifyCol so the class
-// geometry can never drift from the injectable geometry.
-type tlbProbe struct{ t *compTracker }
-
-func newTLBTracker(tb *tlb.TLB, now func() uint64) *compTracker {
-	rows := tb.Rows()
-	var camW, payW, spareW int
-	for col := 0; col < tlb.EntryBits; col++ {
-		switch tlb.ClassifyCol(col) {
-		case tlb.ColCAM:
-			camW++
-		case tlb.ColPayload:
-			payW++
-		default:
-			spareW++
-		}
-	}
-	t := &compTracker{name: tb.Name(), rows: rows, cols: tlb.EntryBits, now: now, target: tb}
-	t.classes = []ClassProfile{
-		{Name: "cam", Bits: uint64(rows * camW)},
-		{Name: "payload", Bits: uint64(rows * payW)},
-		{Name: "spare", Bits: uint64(rows * spareW)},
-	}
-	t.cells = make([]cell, 3*rows)
-	for r := 0; r < rows; r++ {
-		t.cells[r] = cell{class: 0, width: uint16(camW)}
-		t.cells[rows+r] = cell{class: 1, width: uint16(payW)}
-		t.cells[2*rows+r] = cell{class: 2, width: uint16(spareW)}
-	}
-	t.rowLive = tb.ValidAt
-	tb.SetProbe(&tlbProbe{t: t})
-	t.detach = func() { tb.SetProbe(nil) }
-	return t
-}
-
-// OnTLBLookup implements tlb.Probe: the CAM compare consults valid + VPN
-// of every entry; on a hit the hit entry's payload enters the datapath.
-func (p *tlbProbe) OnTLBLookup(hit int) {
-	for r := 0; r < p.t.rows; r++ {
-		p.t.consume(r)
-	}
-	if hit >= 0 {
-		p.t.consume(p.t.rows + hit)
-	}
-}
-
-// OnTLBInsert implements tlb.Probe: the whole entry is overwritten.
-func (p *tlbProbe) OnTLBInsert(row int) {
-	p.t.define(row)
-	p.t.define(p.t.rows + row)
-	p.t.define(2*p.t.rows + row)
-}
-
-// OnTLBInvalidate implements tlb.Probe: every entry is cleared.
-func (p *tlbProbe) OnTLBInvalidate() {
-	for i := range p.t.cells {
-		p.t.define(i)
-	}
-}
-
-// --- register-file tracker ---
-
-// RegFile cell layout: data cells [0,rows) (32 bits each), ready cells
-// [rows,2rows).
-type regProbe struct{ t *compTracker }
-
-func newRegTracker(rf *cpu.RegFile, now func() uint64) *compTracker {
-	rows := rf.Rows()
-	t := &compTracker{name: rf.Name(), rows: rows, cols: rf.Cols(), now: now, target: rf}
-	t.classes = []ClassProfile{
-		{Name: "data", Bits: uint64(rows) * 32},
-		{Name: "ready", Bits: uint64(rows)},
-	}
-	t.cells = make([]cell, 2*rows)
-	for r := 0; r < rows; r++ {
-		t.cells[r] = cell{class: 0, width: 32}
-		t.cells[rows+r] = cell{class: 1, width: 1}
-	}
-	t.rowLive = rf.ReadyAt
-	rf.SetProbe(&regProbe{t: t})
-	t.detach = func() { rf.SetProbe(nil) }
-	return t
-}
-
-// OnRegRead implements cpu.RegProbe.
-func (p *regProbe) OnRegRead(row int) { p.t.consume(row) }
-
-// OnRegReadyRead implements cpu.RegProbe.
-func (p *regProbe) OnRegReadyRead(row int) { p.t.consume(p.t.rows + row) }
-
-// OnRegWrite implements cpu.RegProbe: value and ready bit are rewritten.
-func (p *regProbe) OnRegWrite(row int) {
-	p.t.define(row)
-	p.t.define(p.t.rows + row)
-}
-
-// OnRegAlloc implements cpu.RegProbe: reallocation rewrites the ready bit;
-// the stale value survives until the producer writes.
-func (p *regProbe) OnRegAlloc(row int) { p.t.define(p.t.rows + row) }
-
 // --- profiler ---
 
 // Profiler observes one fault-free run of a machine and accumulates the
@@ -386,21 +224,15 @@ func NewProfiler(m *sim.Machine, totalCycles uint64, windows int) *Profiler {
 	p := &Profiler{total: totalCycles, windows: windows}
 	// The paper's presentation order (core.Components), without importing
 	// core: the component names come from the structures themselves.
-	p.comps = []*compTracker{
-		newCacheTracker(m.L1D, now),
-		newCacheTracker(m.L1I, now),
-		newCacheTracker(m.L2, now),
-		newRegTracker(m.Core.RegFile(), now),
-		newTLBTracker(m.DTLB, now),
-		newTLBTracker(m.ITLB, now),
-	}
-	for _, ct := range p.comps {
+	for _, target := range []any{m.L1D, m.L1I, m.L2, m.Core.RegFile(), m.DTLB, m.ITLB} {
+		ct := newCompTracker(target, now)
 		ct.occBP = make([]uint32, windows)
-		if ct.hasDirty {
+		if StructState(target).HasDirty {
 			ct.dirtyBP = make([]uint32, windows)
 		}
-		ct.rowBytes = (ct.rows + 7) / 8
+		ct.rowBytes = (ct.g.Rows + 7) / 8
 		ct.rowValid = make([]byte, windows*ct.rowBytes)
+		p.comps = append(p.comps, ct)
 	}
 	return p
 }
@@ -432,7 +264,7 @@ func (p *Profiler) sample(win int) {
 			ct.dirtyBP[win] = toBP(st.Dirty)
 		}
 		base := win * ct.rowBytes
-		for r := 0; r < ct.rows; r++ {
+		for r := 0; r < ct.g.Rows; r++ {
 			if ct.rowLive(r) {
 				ct.rowValid[base+r/8] |= 1 << (r % 8)
 			}
@@ -458,7 +290,7 @@ func (p *Profiler) Finish(end uint64) *Profile {
 		ct.detach()
 		ct.finish(end)
 		prof.Components = append(prof.Components, ComponentProfile{
-			Name: ct.name, Rows: ct.rows, Cols: ct.cols,
+			Name: ct.g.Name, Rows: ct.g.Rows, Cols: ct.g.Cols,
 			Classes: ct.classes, OccBP: ct.occBP, DirtyBP: ct.dirtyBP,
 			RowValid: ct.rowValid,
 		})

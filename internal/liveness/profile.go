@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 
 	"mbusim/internal/wire"
 )
@@ -159,11 +160,7 @@ func (p *Profile) Component(name string) *ComponentProfile {
 // AVF returns the analytical (ACE) AVF of the named component: live
 // bit-cycles over total bit-cycles. 0 for an unknown component.
 func (p *Profile) AVF(comp string) float64 {
-	c := p.Component(comp)
-	if c == nil || p.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Ace()) / (float64(c.TotalBits()) * float64(p.Cycles))
+	return p.fraction(comp, (*ComponentProfile).Ace)
 }
 
 // NeverTouched returns the analytical probability that a fault injected
@@ -171,11 +168,18 @@ func (p *Profile) AVF(comp string) float64 {
 // dead bit-cycles over total bit-cycles. It is the profile-side twin of
 // the forensics `never-touched` fate fraction.
 func (p *Profile) NeverTouched(comp string) float64 {
+	return p.fraction(comp, (*ComponentProfile).Never)
+}
+
+// fraction divides the named component's sum of bit-cycles by its total
+// bit-cycles. The divisor is rounded once, as an integer, so a validated
+// sum (at most that integer) never reads above 1.
+func (p *Profile) fraction(comp string, sum func(*ComponentProfile) uint64) float64 {
 	c := p.Component(comp)
 	if c == nil || p.Cycles == 0 {
 		return 0
 	}
-	return float64(c.Never()) / (float64(c.TotalBits()) * float64(p.Cycles))
+	return float64(sum(c)) / float64(c.TotalBits()*p.Cycles)
 }
 
 // Key returns the profile's content address: a digest of everything the
@@ -365,11 +369,19 @@ func (p *Profile) validate() error {
 		if c.Name == "" {
 			return fmt.Errorf("liveness: component %d has no name", i)
 		}
+		// No class is wider than total, so once total x Cycles is known
+		// not to wrap, no class budget or bit-cycle sum below can either.
 		total := c.TotalBits()
-		budget := total * p.Cycles
+		hi, budget := bits.Mul64(total, p.Cycles)
+		if hi != 0 {
+			return fmt.Errorf("liveness: %s bit-cycle budget overflows 64 bits", c.Name)
+		}
 		var classBits uint64
 		for j := range c.Classes {
 			cl := &c.Classes[j]
+			if cl.Bits > total {
+				return fmt.Errorf("liveness: %s/%s has more bits than the %dx%d geometry", c.Name, cl.Name, c.Rows, c.Cols)
+			}
 			classBits += cl.Bits
 			if limit := cl.Bits * p.Cycles; cl.AceBitCycles > limit || cl.NeverBitCycles > limit {
 				return fmt.Errorf("liveness: %s/%s bit-cycles exceed the class budget", c.Name, cl.Name)

@@ -1,6 +1,9 @@
 package liveness
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,6 +131,15 @@ func TestDecodeRejectsInconsistency(t *testing.T) {
 		{"ace over budget", func(p *Profile) { p.Components[0].Classes[0].AceBitCycles = 1 << 40 }, "budget"},
 		{"occupancy over 100%", func(p *Profile) { p.Components[0].OccBP[1] = 10001 }, "10000"},
 		{"bitmap length", func(p *Profile) { p.Components[0].RowValid = p.Components[0].RowValid[:3] }, "bitmap"},
+		// Class widths whose uint64 sum wraps to Rows*Cols, and whose
+		// per-class budgets wrap too: 2^63 x 2 = 0 and (2^63+80) x 2 = 160.
+		{"class wider than geometry", func(p *Profile) {
+			p.Cycles = 2
+			p.Components[0].Classes = []ClassProfile{
+				{Name: "valid", Bits: 1 << 63},
+				{Name: "data", Bits: 1<<63 + 80, AceBitCycles: 160},
+			}
+		}, "more bits than"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,4 +154,44 @@ func TestDecodeRejectsInconsistency(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frameProfile wraps a payload in the container Encode writes: magic,
+// format version, payload, sha256 trailer.
+func frameProfile(payload []byte) []byte {
+	out := append([]byte(nil), profileMagic[:]...)
+	out = binary.LittleEndian.AppendUint64(out, ProfileFormat)
+	out = append(out, payload...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// FuzzDecodeProfile fuzzes the profile payload behind a valid container,
+// so mutations reach the structural checks instead of dying at the hash.
+// Every accepted profile must re-encode to the same bytes and report
+// fractions in [0, 1].
+func FuzzDecodeProfile(f *testing.F) {
+	header := len(profileMagic) + 8
+	noDirty := testProfile()
+	noDirty.Components[0].DirtyBP = nil
+	for _, p := range []*Profile{testProfile(), noDirty} {
+		enc := p.Encode()
+		f.Add(enc[header : len(enc)-sha256.Size])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := frameProfile(payload)
+		p, err := DecodeProfile(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(p.Encode(), data) {
+			t.Fatal("accepted profile does not re-encode to its own bytes")
+		}
+		for _, c := range p.Components {
+			avf, never := p.AVF(c.Name), p.NeverTouched(c.Name)
+			if !(avf >= 0 && avf <= 1 && never >= 0 && never <= 1) {
+				t.Fatalf("%s: AVF %v, NeverTouched %v outside [0, 1]", c.Name, avf, never)
+			}
+		}
+	})
 }
