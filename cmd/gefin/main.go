@@ -20,19 +20,22 @@
 // determinism makes the resumed grid bit-identical to an uninterrupted one.
 //
 // Campaigns also shard across processes and machines. One process owns the
-// grid and the results file:
+// grid and the results file — it is the campaign service running the grid
+// as its one campaign, and exits when that campaign is over:
 //
 //	gefin -all -samples 100 -out results.json -serve :9321
 //
 // and any number of workers lease cells from it, run them, and submit the
 // results:
 //
-//	gefin -join coordinator-host:9321
+//	gefin -join service-host:9321
 //
 // Workers that crash, hang, or vanish are routine: their leases expire
 // (-lease-ttl) and the cells are reassigned, bounded by a per-cell retry
 // budget (-retries). Seeded determinism makes the distributed result set
-// byte-identical to a single-process run of the same grid.
+// byte-identical to a single-process run of the same grid. With
+// -service-dir the service is durable and long-running instead: campaigns
+// arrive over HTTP (-submit), and a killed service resumes from its journal.
 //
 // Exit status: 0 on success, 1 on runtime errors, 2 on bad configuration
 // (unknown component/workload, impossible cardinality), 130 when
@@ -113,10 +116,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsOn  = fs.String("metrics-addr", "", "serve live campaign metrics on host:port (/metrics Prometheus text, /healthz, /debug/vars expvar, /debug/pprof)")
 		status     = fs.Duration("status", 0, "print a periodic campaign summary to stderr at this interval (works with -q; 0 disables)")
 		eventsPath = fs.String("events", "", "append the campaign event log (JSONL, one event per line) to this file; with -resume an existing log is continued, sequence numbers stay strictly monotonic")
-		watchURL   = fs.String("watch", "", "observe a running coordinator at host:port: stream its campaign event log and render a live fleet dashboard (takes no grid flags)")
-		serveAddr  = fs.String("serve", "", "coordinate a distributed campaign: listen on host:port and lease grid cells to -join workers instead of running them in-process")
-		joinAddr   = fs.String("join", "", "work for a coordinator at host:port: lease cells, run them, submit results (takes no grid flags)")
-		serviceDir = fs.String("service-dir", "", "with -serve: run the durable multi-campaign service instead of a one-shot coordinator, keeping its journal, event log and per-campaign results files in this directory (campaigns arrive via POST /campaigns; grid flags are rejected)")
+		watchURL   = fs.String("watch", "", "observe a running -serve at host:port: stream its campaign event log and render a live fleet dashboard (takes no grid flags)")
+		serveAddr  = fs.String("serve", "", "coordinate a distributed campaign: run the campaign service on host:port and lease the grid's cells to -join workers instead of running them in-process (see -service-dir)")
+		joinAddr   = fs.String("join", "", "work for a -serve at host:port: lease cells, run them, submit results (takes no grid flags)")
+		serviceDir = fs.String("service-dir", "", "with -serve: run the durable multi-campaign service instead of serving the grid flags as one campaign, keeping its journal, event log and per-campaign results files in this directory (campaigns arrive via POST /campaigns; grid flags are rejected)")
 		queueDepth = fs.Int("queue-depth", 64, "service: campaigns allowed to wait in the queue before submissions bounce with 429")
 		maxActive  = fs.Int("max-active", 4, "service: campaigns run concurrently over the shared worker fleet")
 		tenantCamp = fs.Int("tenant-campaigns", 8, "service: live campaigns allowed per tenant")
@@ -128,11 +131,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tenantName = fs.String("tenant", "", "with -submit: tenant identity for admission quotas (default \"default\")")
 		cmpgnName  = fs.String("name", "", "with -submit: idempotency name — resubmitting while a campaign of this name is live returns it instead of queuing a duplicate")
 		cmpgnOut   = fs.String("campaign-out", "", "with -submit: wait for the campaign to finish and write its results file here (byte-identical to the service's durable copy)")
-		workerID   = fs.String("worker-id", "", "worker identity reported to the coordinator (default host:pid)")
-		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "coordinator: a worker silent this long loses its lease and the cell is reassigned")
-		retries    = fs.Int("retries", 5, "coordinator: reassignments allowed per cell before the campaign fails naming it")
+		workerID   = fs.String("worker-id", "", "worker identity reported to the service (default host:pid)")
+		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "serve: a worker silent this long loses its lease and the cell is reassigned")
+		retries    = fs.Int("retries", 5, "serve: reassignments allowed per cell before the campaign fails naming it")
 		wallTO     = fs.Duration("wall-timeout", 0, "per-sample wall-clock budget; a sample exceeding it is recorded as a timeout (0 = no watchdog)")
-		cacheDir   = fs.String("cache-dir", defaultCacheDir(), "worker: disk cache for checkpoint artifacts fetched from the coordinator (empty = no disk cache)")
+		cacheDir   = fs.String("cache-dir", defaultCacheDir(), "worker: disk cache for checkpoint artifacts fetched from the service (empty = no disk cache)")
 		noArtifact = fs.Bool("no-artifacts", false, "worker: skip the checkpoint-artifact cache and derive every golden reference locally")
 		profileDir = fs.String("profile", "", "profile mode: run each workload's fault-free golden reference under the liveness profiler and write one versioned .mbup artifact per workload into this directory (takes -workload and -windows; runs no injections)")
 		windows    = fs.Int("windows", 64, "profile mode: occupancy sampling windows per profile (1-4096)")
@@ -176,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if joinMode {
 		switch {
 		case *serveAddr != "":
-			fmt.Fprintln(stderr, "-join and -serve are mutually exclusive: a process is a worker or the coordinator, not both")
+			fmt.Fprintln(stderr, "-join and -serve are mutually exclusive: a process is a worker or the service, not both")
 			return 2
 		case *all, *outPath != "", *resume:
 			fmt.Fprintln(stderr, "-join takes its grid from the coordinator and submits results back to it: drop -all/-out/-resume (they belong on the -serve side)")
@@ -288,9 +291,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// enables the campaign registry (the core hot path stays untouched when
 	// all are absent). Forensics needs the registry for its fate counters;
 	// pair it with -trace to also get the per-sample forensics records. A
-	// coordinator always carries the registry — its dispatch gauges are the
-	// only view into a fleet of remote workers — and so does a worker, whose
-	// registry snapshots ride its heartbeats into the coordinator's /metrics.
+	// service always carries the registry — its dispatch gauges are the only
+	// view into a fleet of remote workers — and so does a worker, whose
+	// registry snapshots ride its heartbeats into the service's /metrics.
 	var tel *telemetry.Campaign
 	if *tracePath != "" || *metricsOn != "" || *status > 0 || *eventsPath != "" ||
 		fmode.mode != forensics.ModeOff || *serveAddr != "" || joinMode {
@@ -309,8 +312,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The event log: durable when -events names a file (-resume continues an
 	// existing log, fresh campaigns start one). The campaign service always
 	// keeps a durable log in its state directory and always continues it —
-	// restarting the service is resuming, never starting over. A coordinator
-	// without -events still keeps an in-memory log so /dispatch/events and
+	// restarting the service is resuming, never starting over. A one-shot
+	// -serve without -events still keeps an in-memory log so /dispatch/events and
 	// -watch work.
 	if *eventsPath != "" || serviceMode {
 		path := *eventsPath
@@ -345,16 +348,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// telemetry off the hook is a no-op.
 	workloads.OnGoldenDerived = func(string) { tel.GoldenDerived() }
 
-	// health feeds /healthz on the metrics port and (coordinator mode) the
-	// dispatch port: the process role plus a cheap campaign digest.
+	// health feeds /healthz on the metrics port: the process role plus a
+	// cheap campaign digest.
 	role := "local"
 	switch {
 	case joinMode:
 		role = "worker"
-	case serviceMode:
-		role = "service"
 	case *serveAddr != "":
-		role = "coordinator"
+		role = "service"
 	}
 	health := func() telemetry.Health {
 		h := telemetry.Health{Role: role, UptimeSeconds: time.Since(start).Seconds()}
@@ -398,10 +399,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var (
-		done     = 0
-		flushErr error
-	)
 	if *status > 0 {
 		statusDone := make(chan struct{})
 		defer close(statusDone)
@@ -425,19 +422,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if listMode {
 		return runCampaigns(ctx, stdout, stderr, *cmpgnsAddr, *campaignID, *doAction)
 	}
+	opts := dispatch.ServiceOptions{LeaseTTL: *leaseTTL, MaxRetries: *retries, Tel: tel}
 	if serviceMode {
-		return runService(ctx, stdout, stderr, *serveAddr, *serviceDir, dispatch.ServiceOptions{
-			LeaseTTL: *leaseTTL, MaxRetries: *retries, QueueDepth: *queueDepth,
-			MaxActive: *maxActive, TenantCampaigns: *tenantCamp, TenantCells: *tenantCell,
-			Tel: tel,
-		}, tel, start)
+		opts.QueueDepth, opts.MaxActive = *queueDepth, *maxActive
+		opts.TenantCampaigns, opts.TenantCells = *tenantCamp, *tenantCell
+		err := runService(ctx, stderr, *serveAddr, *serviceDir, opts, start, nil, nil)
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintln(stderr, "campaign service stopped; state is durable — restart with the same -service-dir to resume")
+			return 130
+		}
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	if *serveAddr != "" {
-		return runServe(ctx, cancel, stdout, stderr, *serveAddr, specs, pending, rs,
-			*outPath, *leaseTTL, *retries, tel, health, *quiet, start)
-	}
+
+	// A local run and a one-shot -serve share the per-cell callback and the
+	// end-of-campaign report.
 	tel.Emit(telemetry.Event{Type: telemetry.EventCampaignStart, Cell: -1, Cells: len(pending)})
-	err := core.RunGridWithTelemetry(ctx, pending, *parallel, func(i int, res *core.Result) {
+	var (
+		done     = 0
+		flushErr error
+	)
+	onCell := func(i int, res *core.Result) {
 		rs.Add(res)
 		done++
 		if *outPath != "" {
@@ -449,7 +454,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !*quiet {
 			fmt.Fprintln(stdout, cellLine(done, len(pending), pending[i], res, start))
 		}
-	}, tel)
+	}
+	var err error
+	if *serveAddr != "" {
+		// Publish the grid shape so -status and /healthz show fleet-wide
+		// totals; the service's coordinator emits campaign_done.
+		totalSamples := 0
+		for _, s := range pending {
+			totalSamples += s.Samples
+		}
+		tel.SetGridShape(len(pending), totalSamples, 0, 0)
+		err = runService(ctx, stderr, *serveAddr, "", opts, start, pending, onCell)
+	} else if err = core.RunGridWithTelemetry(ctx, pending, *parallel, onCell, tel); err == nil && flushErr == nil {
+		tel.Emit(telemetry.Event{Type: telemetry.EventCampaignDone, Cell: -1, Cells: done})
+	}
+	var term *dispatch.TerminalError
 	switch {
 	case flushErr != nil:
 		fmt.Fprintf(stderr, "flush failed after %d cells: %v\n", done, flushErr)
@@ -461,6 +480,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stderr)
 		return 130
+	case errors.As(err, &term):
+		// The service refused the grid as its campaign.
+		fmt.Fprintln(stderr, err)
+		return 2
 	case err != nil:
 		fmt.Fprintf(stderr, "%v (%d/%d cells complete", err, done, len(pending))
 		if *outPath != "" && done > 0 {
@@ -469,7 +492,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, ")")
 		return 1
 	}
-	tel.Emit(telemetry.Event{Type: telemetry.EventCampaignDone, Cell: -1, Cells: done})
 	if !*quiet {
 		fmt.Fprintf(stdout, "campaign complete: %d cells in %v\n", done, time.Since(start).Round(time.Second))
 	}
@@ -504,114 +526,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runServe is coordinator mode: the campaign grid is leased cell-by-cell
-// to -join workers over HTTP instead of running in-process. The
-// coordinator owns the canonical ResultSet and the -out file, flushed
-// after every accepted cell exactly like a local run, so a distributed
-// campaign is resumable and mergeable with single-process ones.
-func runServe(ctx context.Context, cancel context.CancelFunc, stdout, stderr io.Writer,
-	addr string, specs, pending []core.Spec, rs *core.ResultSet, outPath string,
-	ttl time.Duration, maxRetries int, tel *telemetry.Campaign,
-	health func() telemetry.Health, quiet bool, start time.Time) int {
-
-	var (
-		done     = 0
-		flushErr error
-	)
-	// Publish the grid shape so -status and /healthz show fleet-wide totals,
-	// and open the event log with campaign_start — before dispatch.New, so a
-	// resumed-already-complete grid's immediate campaign_done orders after it.
-	totalSamples := 0
-	for _, s := range pending {
-		totalSamples += s.Samples
-	}
-	tel.SetGridShape(len(pending), totalSamples, 0, 0)
-	tel.Emit(telemetry.Event{Type: telemetry.EventCampaignStart, Cell: -1, Cells: len(pending)})
-	coord, err := dispatch.New(specs, rs, dispatch.Options{
-		LeaseTTL:   ttl,
-		MaxRetries: maxRetries,
-		Tel:        tel,
-		OnCell: func(cell int, res *core.Result) {
-			done++
-			if outPath != "" {
-				if err := rs.Save(outPath); err != nil && flushErr == nil {
-					flushErr = err
-					cancel()
-				}
-			}
-			if !quiet {
-				fmt.Fprintln(stdout, cellLine(done, len(pending), specs[cell], res, start))
-			}
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	mux := coord.Mux()
-	// Serve checkpoint artifacts next to the lease endpoints: each
-	// workload's golden reference and checkpoint set is derived once, here,
-	// on first request, and every worker installs the verified artifact
-	// instead of re-deriving it.
-	arts, err := dispatch.NewArtifactServer(specs, tel)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	mux.Handle(dispatch.PathArtifact, arts)
-	// The dispatch port doubles as the telemetry endpoint: /metrics shows
-	// the live-worker and lease gauges (and every federated worker series)
-	// next to the campaign counters, /healthz answers probes.
-	mux.Handle("/", telemetry.Handler(tel.Registry, health))
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Fprintf(stderr, "dispatch: coordinating %d cells on http://%s (lease TTL %v, %d retries/cell)\n",
-		len(pending), ln.Addr(), ttl, maxRetries)
-
-	err = coord.Wait(ctx)
-	if ctx.Err() == nil {
-		// Keep serving briefly so tail workers polling for work learn the
-		// campaign is over instead of finding a closed port.
-		coord.Drain(ctx, ttl)
-	}
-	switch {
-	case flushErr != nil:
-		fmt.Fprintf(stderr, "flush failed after %d cells: %v\n", done, flushErr)
-		return 1
-	case errors.Is(err, context.Canceled):
-		fmt.Fprintf(stderr, "interrupted: %d/%d cells complete", done, len(pending))
-		if outPath != "" && done > 0 {
-			fmt.Fprintf(stderr, ", partial results saved to %s (finish with -resume)", outPath)
-		}
-		fmt.Fprintln(stderr)
-		return 130
-	case err != nil:
-		fmt.Fprintf(stderr, "%v (%d/%d cells complete", err, done, len(pending))
-		if outPath != "" && done > 0 {
-			fmt.Fprintf(stderr, ", saved to %s; fix and re-run with -resume", outPath)
-		}
-		fmt.Fprintln(stderr, ")")
-		return 1
-	}
-	if !quiet {
-		fmt.Fprintf(stdout, "campaign complete: %d cells in %v\n", done, time.Since(start).Round(time.Second))
-	}
-	if outPath != "" {
-		fmt.Fprintf(stderr, "wrote %s\n", outPath)
-	}
-	return 0
-}
-
-// runWorker is worker mode: lease cells from the coordinator, run them
-// through the normal campaign path, submit the results, repeat until the
-// coordinator reports the campaign done. A SIGINT/SIGTERM drains: the
-// in-flight cell is handed back so the coordinator reassigns it at once.
+// runWorker is worker mode: lease cells from the service, run them through
+// the normal campaign path, submit the results, repeat until a one-shot
+// service sends the worker home. A SIGINT/SIGTERM drains: the in-flight
+// cell is handed back so the service reassigns it at once.
 func runWorker(ctx context.Context, stdout, stderr io.Writer,
 	addr, id string, quiet bool, tel *telemetry.Campaign, start time.Time,
 	useArtifacts bool, cacheDir string) int {

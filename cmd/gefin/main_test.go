@@ -411,6 +411,40 @@ func TestDistributedGridMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestDistributedResumeMatchesLocal: a one-shot -serve with -resume over a
+// results file holding one of three cells serves only the other two, and
+// the finished file matches an in-process run byte for byte.
+func TestDistributedResumeMatchesLocal(t *testing.T) {
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.json")
+	distPath := filepath.Join(dir, "dist.json")
+	if code, _, stderr := runGefin(t, tinyGrid("-out", refPath)...); code != 0 {
+		t.Fatalf("reference run failed: %d (%s)", code, stderr)
+	}
+	if code, _, stderr := runGefin(t, oneCell("-out", distPath)...); code != 0 {
+		t.Fatalf("partial run failed: %d (%s)", code, stderr)
+	}
+
+	addr, served, serveErr := startGefin(t, tinyGrid("-out", distPath, "-resume",
+		"-serve", "127.0.0.1:0", "-lease-ttl", "2s")...)
+	code, stdout, stderr := runGefin(t, "-join", addr, "-cache-dir", filepath.Join(dir, "cache"))
+	if code != 0 {
+		t.Fatalf("worker exit=%d stderr=%s\nserver stderr: %s", code, stderr, serveErr.String())
+	}
+	if !strings.Contains(stdout, "worker done: 2 cells submitted") {
+		t.Fatalf("worker should run exactly the two missing cells: %s", stdout)
+	}
+	if code := <-served; code != 0 {
+		t.Fatalf("server exit=%d stderr=%s", code, serveErr.String())
+	}
+	if !strings.Contains(serveErr.String(), "resume: 1 of 3 cells already complete") {
+		t.Fatalf("server did not resume: %s", serveErr.String())
+	}
+	if !bytes.Equal(readFile(t, distPath), readFile(t, refPath)) {
+		t.Fatal("resumed distributed results file differs from in-process run")
+	}
+}
+
 func TestResumeCorruptFileFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.json")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {

@@ -28,11 +28,11 @@ func rawLease(t *testing.T, url, worker string) *dispatch.LeaseReply {
 	return &rep
 }
 
-func rawSubmit(t *testing.T, url, worker string, leaseID uint64, cell int, res *core.Result) {
+func rawSubmit(t *testing.T, url, worker string, lease *dispatch.LeaseReply, res *core.Result) {
 	t.Helper()
 	var rep dispatch.SubmitReply
-	postJSON(t, url+dispatch.PathSubmit, &dispatch.SubmitRequest{
-		Worker: worker, LeaseID: leaseID, Cell: cell, Result: res}, &rep)
+	postJSON(t, url+dispatch.PathSubmit, &dispatch.SubmitRequest{Worker: worker,
+		LeaseID: lease.LeaseID, Campaign: lease.Campaign, Cell: lease.Cell, Result: res}, &rep)
 	if rep.Status != dispatch.StatusAccepted {
 		t.Fatalf("submit = %+v", rep)
 	}
@@ -190,8 +190,8 @@ func TestWatchModelRendering(t *testing.T) {
 	}
 }
 
-// TestWatchStreamsFromCoordinator drives runWatch against a live
-// coordinator: it must render the campaign as events arrive and exit 0 at
+// TestWatchStreamsFromCoordinator drives runWatch against a live one-shot
+// service: it must render the campaign as events arrive and exit 0 at
 // campaign_done.
 func TestWatchStreamsFromCoordinator(t *testing.T) {
 	specs := []core.Spec{
@@ -199,13 +199,18 @@ func TestWatchStreamsFromCoordinator(t *testing.T) {
 	}
 	tel := telemetry.NewCampaign(nil)
 	tel.Events = telemetry.NewEventLog(nil, 0)
-	coord, err := dispatch.New(specs, nil, dispatch.Options{Tel: tel})
+	svc, err := dispatch.NewService(t.TempDir(), dispatch.ServiceOptions{Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
+	defer svc.Close()
+	// As a one-shot -serve does: campaign_start, then the in-process submit.
 	tel.Emit(telemetry.Event{Type: telemetry.EventCampaignStart, Cell: -1, Cells: 1})
+	if _, _, err := svc.Submit(&dispatch.SubmitCampaignRequest{Specs: specs}, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Mux())
+	defer srv.Close()
 
 	var out, errB bytes.Buffer
 	watchDone := make(chan int, 1)
@@ -215,7 +220,7 @@ func TestWatchStreamsFromCoordinator(t *testing.T) {
 	rep := rawLease(t, srv.URL, "w1")
 	res := &core.Result{Spec: specs[0], GoldenCycles: 100, TargetBits: 64}
 	res.Counts[core.EffectMasked] = specs[0].Samples
-	rawSubmit(t, srv.URL, "w1", rep.LeaseID, rep.Cell, res)
+	rawSubmit(t, srv.URL, "w1", rep, res)
 
 	select {
 	case code := <-watchDone:

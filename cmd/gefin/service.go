@@ -17,57 +17,84 @@ import (
 	"mbusim/internal/workloads"
 )
 
-// runService is `gefin -serve ADDR -service-dir DIR`: the durable
-// multi-campaign coordinator. Campaigns arrive over POST /campaigns, one
-// worker fleet is shared round-robin across everything running, and every
-// accepted submission and state transition is journaled before it is
-// acknowledged — SIGKILL the process, restart it on the same directory,
-// and queued, running and finished campaigns come back exactly, with
-// results files byte-identical to an uninterrupted run.
-func runService(ctx context.Context, stdout, stderr io.Writer, addr, dir string,
-	opts dispatch.ServiceOptions, tel *telemetry.Campaign, start time.Time) int {
+// runService is `gefin -serve ADDR`, the campaign service. With
+// -service-dir (dir set, grid nil) it is the durable multi-campaign
+// service: campaigns arrive over POST /campaigns, one worker fleet is
+// shared round-robin across everything running, and every accepted
+// submission and state transition is journaled before it is acknowledged —
+// SIGKILL the process, restart it on the same directory, and queued,
+// running and finished campaigns come back exactly, with results files
+// byte-identical to an uninterrupted run. It serves until ctx ends.
+//
+// Without -service-dir it is a one-shot run: the service keeps its state in
+// a temporary directory, removed on exit, and grid is submitted in-process
+// as its one campaign, with onCell observing each completed cell. It
+// returns once that campaign is over and the fleet has been sent home:
+// nil, the campaign's failure, or ctx.Err().
+func runService(ctx context.Context, stderr io.Writer, addr, dir string,
+	opts dispatch.ServiceOptions, start time.Time, grid []core.Spec, onCell func(int, *core.Result)) error {
+	if grid != nil {
+		tmp, err := os.MkdirTemp("", "gefin-serve-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
+	}
 	svc, err := dispatch.NewService(dir, opts)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 	defer svc.Close()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+	if grid != nil {
+		// Submitted before the port opens, so the first lease finds work.
+		if _, _, err := svc.Submit(&dispatch.SubmitCampaignRequest{Specs: grid}, onCell); err != nil {
+			return err
+		}
 	}
-	mux := svc.Mux()
 	// Serve checkpoint artifacts for every registered workload: the service
 	// cannot know which workloads future submissions will name, and the
 	// artifact table is lazy — nothing derives until a worker asks.
-	arts, err := dispatch.NewArtifactServer(allWorkloadSpecs(), tel)
+	arts, err := dispatch.NewArtifactServer(allWorkloadSpecs(), opts.Tel)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	mux := svc.Mux()
 	mux.Handle(dispatch.PathArtifact, arts)
+	// The dispatch port doubles as the telemetry endpoint: /metrics shows
+	// the fleet gauges (and every federated worker series) next to the
+	// campaign counters, /healthz answers probes.
 	health := func() telemetry.Health {
 		return telemetry.Health{Role: "service",
 			UptimeSeconds: time.Since(start).Seconds(), Campaign: svc.Snapshot()}
 	}
-	mux.Handle("/", telemetry.Handler(tel.Registry, health))
+	mux.Handle("/", telemetry.Handler(opts.Tel.Registry, health))
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Fprintf(stderr, "dispatch: campaign service on http://%s (state %s, %d active slots, queue depth %d)\n",
-		ln.Addr(), dir, opts.MaxActive, opts.QueueDepth)
-
-	err = svc.Run(ctx)
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(stderr, "campaign service stopped; state is durable — restart with the same -service-dir to resume")
-		return 130
+	defer func() {
+		// Let replies already under way reach their workers before the port
+		// closes: the final submit's reply is what sends its worker home.
+		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if srv.Shutdown(sctx) != nil {
+			srv.Close()
+		}
+	}()
+	if grid == nil {
+		fmt.Fprintf(stderr, "dispatch: campaign service on http://%s (state %s, %d active slots, queue depth %d)\n",
+			ln.Addr(), dir, opts.MaxActive, opts.QueueDepth)
+		return svc.Run(ctx)
 	}
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	return 0
+	fmt.Fprintf(stderr, "dispatch: campaign service on http://%s running one campaign of %d cells (lease TTL %v, %d retries/cell)\n",
+		ln.Addr(), len(grid), opts.LeaseTTL, opts.MaxRetries)
+	sweep, stop := context.WithCancel(ctx)
+	defer stop()
+	go svc.Run(sweep)
+	return svc.Drain(ctx)
 }
 
 // allWorkloadSpecs synthesizes one spec per registered workload — the

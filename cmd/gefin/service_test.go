@@ -61,25 +61,34 @@ func TestSubmitUnreachableServiceFails(t *testing.T) {
 	}
 }
 
-// startServiceGefin boots `gefin -serve 127.0.0.1:0 -service-dir DIR` in a
-// goroutine and returns the resolved address. The goroutine leaks (service
-// mode only exits on a signal) — harmless, the test binary's exit reaps it.
-func startServiceGefin(t *testing.T, dir string, extra ...string) string {
+// startGefin runs gefin with args in a goroutine until it reports its
+// campaign service listening, and returns the resolved address, the exit
+// code channel and the stderr stream.
+func startGefin(t *testing.T, args ...string) (string, <-chan int, *syncBuffer) {
 	t.Helper()
-	var errB syncBuffer
-	args := append([]string{"-serve", "127.0.0.1:0", "-service-dir", dir}, extra...)
-	go run(args, &bytes.Buffer{}, &errB)
+	errB := &syncBuffer{}
+	done := make(chan int, 1)
+	go func() { done <- run(args, &bytes.Buffer{}, errB) }()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if s := errB.String(); strings.Contains(s, "campaign service on http://") {
 			s = s[strings.Index(s, "on http://")+len("on http://"):]
-			return strings.Fields(s)[0]
+			return strings.Fields(s)[0], done, errB
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("campaign service never came up: %s", errB.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// startServiceGefin boots `gefin -serve 127.0.0.1:0 -service-dir DIR` and
+// returns the resolved address. The goroutine leaks (service mode only
+// exits on a signal) — harmless, the test binary's exit reaps it.
+func startServiceGefin(t *testing.T, dir string, extra ...string) string {
+	t.Helper()
+	addr, _, _ := startGefin(t, append([]string{"-serve", "127.0.0.1:0", "-service-dir", dir}, extra...)...)
+	return addr
 }
 
 // TestServiceSubmitWaitMatchesLocal is the CLI face of the campaign

@@ -183,8 +183,8 @@ func TestRetryBudgetExhaustionFailsCampaign(t *testing.T) {
 		!strings.Contains(err.Error(), "boom") {
 		t.Fatalf("terminal error = %v, want cell name and last worker error", err)
 	}
-	// Workers asking for more work are told to go home.
-	if rep := c.lease(&LeaseRequest{Worker: "w2"}); rep.Status != StatusDone {
+	// A failed campaign hands out no more work, not even its untouched cell.
+	if rep := c.lease(&LeaseRequest{Worker: "w2"}); rep.Status != StatusWait {
 		t.Fatalf("lease after failure = %+v", rep)
 	}
 }
@@ -197,8 +197,8 @@ func TestCoordinatorResumesFromResultSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Remaining(); got != 1 {
-		t.Fatalf("Remaining = %d, want 1 (one cell covered)", got)
+	if st := c.Stats(); st.Cells-st.Done != 1 {
+		t.Fatalf("Stats = %+v, want 1 cell remaining (one cell covered)", st)
 	}
 	l := c.lease(&LeaseRequest{Worker: "w1"})
 	if l.Status != StatusLease || l.Cell != 1 {
@@ -215,7 +215,7 @@ func TestCoordinatorResumesFromResultSet(t *testing.T) {
 	}
 
 	// A coordinator restarted over the completed set has nothing to do.
-	c2, err := New(specs, c.Results(), Options{})
+	c2, err := New(specs, c.rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestCoordinatorResumesFromResultSet(t *testing.T) {
 	default:
 		t.Fatal("fully-covered coordinator should start done")
 	}
-	if rep := c2.lease(&LeaseRequest{Worker: "w1"}); rep.Status != StatusDone {
+	if rep := c2.lease(&LeaseRequest{Worker: "w1"}); rep.Status != StatusWait {
 		t.Fatalf("lease on complete campaign = %+v", rep)
 	}
 }
@@ -278,14 +278,13 @@ func TestAbandonRequeuesWithoutRetry(t *testing.T) {
 }
 
 func TestLiveWorkerGaugeTracksContact(t *testing.T) {
-	tel := telemetry.NewCampaign(nil)
-	c, err := New(protoGrid(3), nil, Options{LeaseTTL: time.Minute, Tel: tel})
-	if err != nil {
-		t.Fatal(err)
+	svc, tel, srv := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: time.Minute})
+	advance := svcClock(svc)
+	submitRaw(t, srv.URL, &SubmitCampaignRequest{Specs: protoGrid(3)})
+	for _, w := range []string{"w1", "w2"} {
+		var rep LeaseReply
+		postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: w}, &rep)
 	}
-	advance := clockFor(c)
-	c.lease(&LeaseRequest{Worker: "w1"})
-	c.lease(&LeaseRequest{Worker: "w2"})
 	if got := tel.Registry.Gauge(telemetry.MetricDispatchWorkers).Value(); got != 2 {
 		t.Fatalf("live workers = %d, want 2", got)
 	}
@@ -295,7 +294,7 @@ func TestLiveWorkerGaugeTracksContact(t *testing.T) {
 	// Both go silent: past the live window they drop off the gauge (and
 	// their cells are reclaimed).
 	advance(4 * time.Minute)
-	c.Sweep()
+	svc.Sweep()
 	if got := tel.Registry.Gauge(telemetry.MetricDispatchWorkers).Value(); got != 0 {
 		t.Fatalf("live workers after silence = %d, want 0", got)
 	}

@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -40,7 +40,7 @@ func rawLease(t *testing.T, url, worker string) *LeaseReply {
 
 // TestChaosEquivalence is the package's acceptance test: a worker dies
 // holding a lease, a second worker completes the campaign after the lease
-// expires, and the coordinator's final ResultSet is byte-identical
+// expires, and the campaign's final results file is byte-identical
 // (canonical Encode) to an uninterrupted single-process run of the same
 // grid.
 func TestChaosEquivalence(t *testing.T) {
@@ -58,18 +58,9 @@ func TestChaosEquivalence(t *testing.T) {
 	}
 
 	// Distributed: short TTL so the dead worker's lease expires quickly.
-	tel := telemetry.NewCampaign(nil)
-	coord, err := New(specs, nil, Options{LeaseTTL: 300 * time.Millisecond, Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- coord.Wait(ctx) }()
+	svc, c, tel, srv, drained := serveOneShot(t, ctx, specs, ServiceOptions{LeaseTTL: 300 * time.Millisecond})
 
 	// The victim: leases cell 0 and is never heard from again.
 	if rep := rawLease(t, srv.URL, "victim"); rep.Status != StatusLease {
@@ -83,11 +74,11 @@ func TestChaosEquivalence(t *testing.T) {
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("survivor worker: %v", err)
 	}
-	if err := <-waitErr; err != nil {
-		t.Fatalf("coordinator: %v", err)
+	if err := <-drained; err != nil {
+		t.Fatalf("service: %v", err)
 	}
 
-	got, err := coord.Results().Encode()
+	got, err := os.ReadFile(svc.resultsPath(c.id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +100,11 @@ func TestWorkerDrainAbandonsLease(t *testing.T) {
 	// One big cell the worker cannot possibly finish before we cancel it.
 	specs := []core.Spec{{Workload: "stringSearch", Component: core.CompL1D,
 		Faults: 1, Samples: 100000, Seed: 3}}
-	coord, err := New(specs, nil, Options{LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
-
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, c, _, srv, _ := serveOneShot(t, ctx, specs, ServiceOptions{LeaseTTL: time.Minute})
+	coord := c.coord
+
 	w := &Worker{ID: "drainer", URL: srv.URL}
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
@@ -156,34 +144,28 @@ func TestWorkerDrainAbandonsLease(t *testing.T) {
 }
 
 // TestWorkerReportsCellFailure: a cell that fails on the worker (here: an
-// invalid spec smuggled past New) is reported, charged against the retry
-// budget, and eventually fails the campaign, which the worker observes as
-// a normal done.
+// invalid spec smuggled past Submit) is reported, charged against the
+// retry budget, and eventually fails the campaign, which the worker
+// observes as a normal done.
 func TestWorkerReportsCellFailure(t *testing.T) {
 	specs := e2eGrid()
-	coord, err := New(specs, nil, Options{LeaseTTL: time.Minute, MaxRetries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	_, c, _, srv, drained := serveOneShot(t, ctx, specs,
+		ServiceOptions{LeaseTTL: time.Minute, MaxRetries: 1})
 	// Sabotage cell 0 after validation: ForceSpanning with 1-bit faults in
 	// the default 3x3 cluster can never produce a spanning mask, so every
 	// sample errors out — the deterministic poisoned-cell case.
-	coord.specs[0].ForceSpanning = true
-
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- coord.Wait(ctx) }()
+	c.coord.mu.Lock()
+	c.coord.specs[0].ForceSpanning = true
+	c.coord.mu.Unlock()
 
 	w := &Worker{ID: "w1", URL: srv.URL,
 		Backoff: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("worker should end cleanly on campaign failure, got %v", err)
 	}
-	err = <-waitErr
-	if err == nil || coord.Err() == nil {
+	if err := <-drained; err == nil || c.coord.Err() == nil {
 		t.Fatal("campaign should have failed on the poisoned cell")
 	}
 }

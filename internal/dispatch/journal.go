@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"mbusim/internal/core"
+	"mbusim/internal/telemetry"
 )
 
 // The campaign journal is the service's crash-safe source of truth for
@@ -69,18 +69,11 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	recs, err := ReadJournal(bytes.NewReader(data))
+	recs, torn, err := readJournal(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dispatch: journal %s: %w", path, err)
 	}
-	// Keep only whole lines: everything past the last newline is the torn
-	// tail of an interrupted append.
-	if cut := bytes.LastIndexByte(data, '\n') + 1; cut < len(data) {
-		if err := os.Truncate(path, int64(cut)); err != nil {
-			return nil, nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := telemetry.ReopenJSONL(path, data, torn)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,15 +98,10 @@ func (j *Journal) Append(rec JournalRecord) error {
 // Close closes the journal file.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// ReadJournal parses a JSONL journal stream. Blank lines are skipped; a
-// malformed FINAL line is tolerated (torn tail) and simply dropped, while
+// readJournal parses a JSONL journal. Blank lines are skipped; a malformed
+// FINAL line is tolerated (torn tail) and dropped, reported as torn, while
 // a malformed line followed by more data fails with its line number.
-func ReadJournal(r io.Reader) ([]JournalRecord, error) {
-	var recs []JournalRecord
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
+func readJournal(data []byte) (recs []JournalRecord, torn bool, err error) {
 	line := 0
 	var pendingErr error
 	for len(data) > 0 {
@@ -129,7 +117,7 @@ func ReadJournal(r io.Reader) ([]JournalRecord, error) {
 			continue
 		}
 		if pendingErr != nil {
-			return nil, pendingErr
+			return nil, false, pendingErr
 		}
 		var rec JournalRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -138,5 +126,5 @@ func ReadJournal(r io.Reader) ([]JournalRecord, error) {
 		}
 		recs = append(recs, rec)
 	}
-	return recs, nil
+	return recs, pendingErr != nil, nil
 }

@@ -14,14 +14,6 @@ import (
 	"mbusim/internal/telemetry"
 )
 
-// eventTel returns a campaign with an in-memory event log attached, the way
-// a coordinator runs.
-func eventTel() *telemetry.Campaign {
-	tel := telemetry.NewCampaign(nil)
-	tel.Events = telemetry.NewEventLog(nil, 0)
-	return tel
-}
-
 // eventTypes flattens a slice of events to their type strings.
 func eventTypes(evs []telemetry.Event) []string {
 	out := make([]string, len(evs))
@@ -33,50 +25,56 @@ func eventTypes(evs []telemetry.Event) []string {
 
 func TestCoordinatorEmitsLifecycleEvents(t *testing.T) {
 	specs := protoGrid(1)
-	tel := eventTel()
-	c, err := New(specs, nil, Options{LeaseTTL: time.Second, Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	advance := clockFor(c)
+	svc, tel, srv := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: time.Second})
+	advance := svcClock(svc)
+	// As Drain does: once no campaign is live, workers are sent home.
+	svc.draining = true
+	submitRaw(t, srv.URL, &SubmitCampaignRequest{Specs: specs})
 
 	// Victim leases the cell, heartbeats once, then goes silent past TTL.
-	rep := c.lease(&LeaseRequest{Worker: "victim"})
+	var rep LeaseReply
+	postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "victim"}, &rep)
 	if rep.Status != StatusLease {
 		t.Fatalf("lease = %+v", rep)
 	}
-	c.heartbeat(&HeartbeatRequest{Worker: "victim", LeaseID: rep.LeaseID})
+	postJSON(t, srv.URL+PathHeartbeat, &HeartbeatRequest{Worker: "victim",
+		LeaseID: rep.LeaseID, Campaign: rep.Campaign}, &HeartbeatReply{})
 	// Past the lease TTL and the 3-TTL live window: one sweep expires the
 	// lease AND prunes the silent worker.
 	advance(4 * time.Second)
-	c.Sweep()
+	svc.Sweep()
 
 	// Survivor takes over and completes it.
-	rep2 := c.lease(&LeaseRequest{Worker: "survivor"})
+	var rep2 LeaseReply
+	postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "survivor"}, &rep2)
 	if rep2.Status != StatusLease || rep2.Cell != rep.Cell {
 		t.Fatalf("release = %+v", rep2)
 	}
-	if got := c.submit(&SubmitRequest{Worker: "survivor", LeaseID: rep2.LeaseID,
-		Cell: rep2.Cell, Result: fakeResult(specs[0])}); got.Status != StatusAccepted {
-		t.Fatalf("submit = %+v", got)
+	var got SubmitReply
+	postJSON(t, srv.URL+PathSubmit, &SubmitRequest{Worker: "survivor", LeaseID: rep2.LeaseID,
+		Campaign: rep2.Campaign, Cell: rep2.Cell, Result: fakeResult(specs[0])}, &got)
+	if got.Status != StatusAccepted || !got.CampaignDone {
+		t.Fatalf("submit = %+v, want accepted and campaign done", got)
 	}
 
 	evs := tel.Events.Since(0)
 	want := []string{
-		telemetry.EventWorkerJoin,   // victim
-		telemetry.EventCellLeased,   // victim takes cell 0
-		telemetry.EventHeartbeat,    // victim's one beat
-		telemetry.EventLeaseExpired, // sweep kills the silent lease
-		telemetry.EventCellRetried,  // cell back to pending
-		telemetry.EventWorkerLeave,  // victim pruned from the live set
-		telemetry.EventWorkerJoin,   // survivor
-		telemetry.EventCellLeased,   // survivor takes cell 0
-		telemetry.EventCellDone,     // survivor's submit accepted
-		telemetry.EventCampaignDone, // last cell: campaign over
-		telemetry.EventWorkerLeave,  // survivor told to go home
+		telemetry.EventCampaignQueued, // admission
+		telemetry.EventCampaignState,  // running
+		telemetry.EventWorkerJoin,     // victim
+		telemetry.EventCellLeased,     // victim takes cell 0
+		telemetry.EventHeartbeat,      // victim's one beat
+		telemetry.EventLeaseExpired,   // sweep kills the silent lease
+		telemetry.EventCellRetried,    // cell back to pending
+		telemetry.EventWorkerLeave,    // victim pruned from the live set
+		telemetry.EventWorkerJoin,     // survivor
+		telemetry.EventCellLeased,     // survivor takes cell 0
+		telemetry.EventCellDone,       // survivor's submit accepted
+		telemetry.EventCampaignDone,   // last cell: campaign over
+		telemetry.EventCampaignState,  // done
+		telemetry.EventWorkerLeave,    // survivor told to go home
 	}
-	got := eventTypes(evs)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
+	if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("event sequence:\n got %v\nwant %v", got, want)
 	}
 	for i, ev := range evs {
@@ -86,21 +84,22 @@ func TestCoordinatorEmitsLifecycleEvents(t *testing.T) {
 	}
 
 	// Cell-scoped events carry the spec identity; the retry carries blame.
-	if lease := evs[1]; lease.Worker != "victim" || lease.Comp != specs[0].Component ||
-		lease.Workload != specs[0].Workload || lease.Faults != specs[0].Faults {
+	if lease := evs[3]; lease.Worker != "victim" || lease.Comp != specs[0].Component ||
+		lease.Workload != specs[0].Workload || lease.Faults != specs[0].Faults ||
+		lease.Campaign != rep.Campaign {
 		t.Fatalf("cell_leased = %+v", lease)
 	}
-	if exp := evs[3]; exp.Worker != "victim" || exp.Cell != rep.Cell || exp.Lease != rep.LeaseID {
+	if exp := evs[5]; exp.Worker != "victim" || exp.Cell != rep.Cell || exp.Lease != rep.LeaseID {
 		t.Fatalf("lease_expired = %+v", exp)
 	}
-	if retry := evs[4]; retry.Retries != 1 {
+	if retry := evs[6]; retry.Retries != 1 {
 		t.Fatalf("cell_retried = %+v", retry)
 	}
-	if done := evs[8]; done.Worker != "survivor" || done.Samples != specs[0].Samples ||
+	if done := evs[10]; done.Worker != "survivor" || done.Samples != specs[0].Samples ||
 		done.Counts["masked"] != specs[0].Samples {
 		t.Fatalf("cell_done = %+v", done)
 	}
-	if fin := evs[9]; fin.Cells != 1 || fin.Detail != "" {
+	if fin := evs[11]; fin.Cells != 1 || fin.Detail != "" {
 		t.Fatalf("campaign_done = %+v", fin)
 	}
 	if n := counter(tel, telemetry.MetricWorkersSeen); n != 2 {
@@ -110,22 +109,20 @@ func TestCoordinatorEmitsLifecycleEvents(t *testing.T) {
 
 func TestHeartbeatAndSubmitFederateMetrics(t *testing.T) {
 	specs := protoGrid(1)
-	tel := telemetry.NewCampaign(nil)
-	c, err := New(specs, nil, Options{Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := c.lease(&LeaseRequest{Worker: "w1"})
+	_, tel, srv := newTestService(t, t.TempDir(), ServiceOptions{})
+	submitRaw(t, srv.URL, &SubmitCampaignRequest{Specs: specs})
+	var rep LeaseReply
+	postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "w1"}, &rep)
 
-	c.heartbeat(&HeartbeatRequest{Worker: "w1", LeaseID: rep.LeaseID,
-		Metrics: []telemetry.WireMetric{
+	postJSON(t, srv.URL+PathHeartbeat, &HeartbeatRequest{Worker: "w1", LeaseID: rep.LeaseID,
+		Campaign: rep.Campaign, Metrics: []telemetry.WireMetric{
 			{Name: `gefin_samples_total{outcome="masked"}`, Kind: telemetry.KindCounter, Value: 2},
-		}})
-	c.submit(&SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID, Cell: rep.Cell,
-		Result: fakeResult(specs[0]),
+		}}, &HeartbeatReply{})
+	postJSON(t, srv.URL+PathSubmit, &SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID,
+		Campaign: rep.Campaign, Cell: rep.Cell, Result: fakeResult(specs[0]),
 		Metrics: []telemetry.WireMetric{
 			{Name: `gefin_samples_total{outcome="masked"}`, Kind: telemetry.KindCounter, Value: 4},
-		}})
+		}}, &SubmitReply{})
 
 	if got := counter(tel, `gefin_samples_total{outcome="masked",worker="w1"}`); got != 4 {
 		t.Fatalf(`per-worker series = %d, want 4`, got)
@@ -133,7 +130,7 @@ func TestHeartbeatAndSubmitFederateMetrics(t *testing.T) {
 	if got := counter(tel, `gefin_samples_total{outcome="masked",worker="fleet"}`); got != 4 {
 		t.Fatalf(`fleet series = %d, want 4`, got)
 	}
-	// The federated samples surface in the coordinator's summary exactly once.
+	// The federated samples surface in the service's summary exactly once.
 	if s := tel.Summarize(); s.Samples != 4 || s.ByOutcome["masked"] != 4 {
 		t.Fatalf("federated summary = %+v", s)
 	}
@@ -141,15 +138,10 @@ func TestHeartbeatAndSubmitFederateMetrics(t *testing.T) {
 
 func TestEventsEndpointStreamsJSONL(t *testing.T) {
 	specs := protoGrid(2)
-	tel := eventTel()
-	c, err := New(specs, nil, Options{Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Mux())
-	defer srv.Close()
-
-	rep := c.lease(&LeaseRequest{Worker: "w1"})
+	_, _, srv := newTestService(t, t.TempDir(), ServiceOptions{})
+	submitRaw(t, srv.URL, &SubmitCampaignRequest{Specs: specs})
+	var rep LeaseReply
+	postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "w1"}, &rep)
 	if rep.Status != StatusLease {
 		t.Fatalf("lease = %+v", rep)
 	}
@@ -179,23 +171,24 @@ func TestEventsEndpointStreamsJSONL(t *testing.T) {
 		return evs
 	}
 
+	// campaign_queued, campaign_state, then the worker's join and lease.
 	evs := fetch("?since=0&wait=1s")
-	if len(evs) != 2 || evs[0].Type != telemetry.EventWorkerJoin || evs[1].Type != telemetry.EventCellLeased {
+	if len(evs) != 4 || evs[2].Type != telemetry.EventWorkerJoin || evs[3].Type != telemetry.EventCellLeased {
 		t.Fatalf("streamed events = %v", eventTypes(evs))
 	}
 
 	// The cursor resumes mid-stream.
-	if evs := fetch("?since=1&wait=1s"); len(evs) != 1 || evs[0].Seq != 2 {
-		t.Fatalf("since=1 events = %+v", evs)
+	if evs := fetch("?since=3&wait=1s"); len(evs) != 1 || evs[0].Seq != 4 {
+		t.Fatalf("since=3 events = %+v", evs)
 	}
 
 	// A long-poll parked on the tail wakes when the next event lands.
 	type res struct{ evs []telemetry.Event }
 	ch := make(chan res, 1)
-	go func() { ch <- res{fetch("?since=2&wait=10s")} }()
+	go func() { ch <- res{fetch("?since=4&wait=10s")} }()
 	time.Sleep(50 * time.Millisecond)
-	c.submit(&SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID, Cell: rep.Cell,
-		Result: fakeResult(specs[rep.Cell])})
+	postJSON(t, srv.URL+PathSubmit, &SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID,
+		Campaign: rep.Campaign, Cell: rep.Cell, Result: fakeResult(specs[rep.Cell])}, &SubmitReply{})
 	select {
 	case r := <-ch:
 		if len(r.evs) == 0 || r.evs[0].Type != telemetry.EventCellDone {
@@ -215,11 +208,12 @@ func TestEventsEndpointStreamsJSONL(t *testing.T) {
 }
 
 func TestEventsEndpointWithoutLogIs404(t *testing.T) {
-	c, err := New(protoGrid(1), nil, Options{Tel: telemetry.NewCampaign(nil)})
+	svc, err := NewService(t.TempDir(), ServiceOptions{Tel: telemetry.NewCampaign(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Mux())
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Mux())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + PathEvents)
 	if err != nil {
@@ -232,27 +226,22 @@ func TestEventsEndpointWithoutLogIs404(t *testing.T) {
 }
 
 // TestWorkerFederatesThroughRealRun is the federation acceptance path: a
-// real worker runs a real cell, and one scrape of the coordinator's registry
+// real worker runs a real cell, and one scrape of the service's registry
 // shows the worker's sample counters under its id and the fleet label.
 func TestWorkerFederatesThroughRealRun(t *testing.T) {
 	specs := []core.Spec{
 		{Workload: "stringSearch", Component: core.CompL1D, Faults: 1, Samples: 4, Seed: 3},
 	}
-	tel := eventTel()
-	coord, err := New(specs, nil, Options{Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	_, _, tel, srv, drained := serveOneShot(t, ctx, specs, ServiceOptions{})
 	w := &Worker{ID: "wrk", URL: srv.URL, Tel: telemetry.NewCampaign(nil)}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	<-coord.Done()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
 
 	var workerSeries, fleetSeries int64
 	for _, m := range tel.Registry.Snapshot() {

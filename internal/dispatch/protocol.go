@@ -1,15 +1,18 @@
-// Package dispatch shards a campaign grid across processes and machines:
-// a coordinator owns the canonical core.ResultSet and hands out leases on
-// pending cells; workers lease a cell, run it through the normal core.Run
-// path, stream heartbeats and submit the result. Worker death is a normal
-// event — a lease whose worker stops heartbeating expires and the cell is
-// reassigned, with a bounded per-cell retry budget, and result acceptance
-// is idempotent so a slow worker re-delivering a completed cell is a
-// no-op. Seeded determinism makes the distributed grid byte-identical
+// Package dispatch shards campaign grids across processes and machines.
+// The campaign Service is the one server: it admits campaigns (over POST
+// /campaigns, or in-process for a one-shot `gefin -serve`), journals them,
+// and owns the worker fleet. Each campaign's Coordinator is its cell
+// ledger: it owns the campaign's canonical core.ResultSet and hands out
+// leases on pending cells. Workers lease a cell, run it through the normal
+// core.Run path, stream heartbeats and submit the result. Worker death is
+// a normal event — a lease whose worker stops heartbeating expires and the
+// cell is reassigned, with a bounded per-cell retry budget, and result
+// acceptance is idempotent so a slow worker re-delivering a completed cell
+// is a no-op. Seeded determinism makes the distributed grid byte-identical
 // (canonical ResultSet encoding) to a single-process run of the same spec,
 // and resumable/mergeable with one via the same Covers/Pending logic.
 //
-// The protocol is four JSON-over-HTTP POST endpoints, stdlib only.
+// The worker protocol is four JSON-over-HTTP POST endpoints, stdlib only.
 package dispatch
 
 import (
@@ -20,7 +23,7 @@ import (
 	"mbusim/internal/telemetry"
 )
 
-// Endpoint paths served by Coordinator.Mux.
+// Endpoint paths served by Service.Mux.
 const (
 	PathLease     = "/dispatch/lease"
 	PathHeartbeat = "/dispatch/heartbeat"
@@ -55,8 +58,8 @@ const (
 	// StatusWait: every pending cell is leased elsewhere; retry after
 	// RetryAfter.
 	StatusWait = "wait"
-	// StatusDone: the campaign is over (complete or failed); the worker
-	// should exit.
+	// StatusDone: a draining (one-shot) service has no live campaign left;
+	// the worker should exit.
 	StatusDone = "done"
 	// StatusOK: heartbeat extended / abandon recorded.
 	StatusOK = "ok"
@@ -85,9 +88,9 @@ type LeaseReply struct {
 	LeaseID uint64    // with StatusLease
 	Cell    int       // coordinator's cell index, echoed back on submit
 	Spec    core.Spec // the cell to run, verbatim
-	// Campaign is the campaign-service campaign id the lease belongs to;
-	// workers echo it verbatim on heartbeat/submit/abandon so the service
-	// routes them to the right campaign. Empty on a one-shot coordinator.
+	// Campaign is the id of the campaign the lease belongs to; workers echo
+	// it verbatim on heartbeat/submit/abandon so the service routes them to
+	// the right campaign.
 	Campaign string `json:",omitempty"`
 	// TTL is the lease lifetime: a worker silent (no heartbeat, no
 	// submit) for TTL loses the cell. Workers heartbeat at TTL/3.
@@ -132,10 +135,10 @@ type SubmitRequest struct {
 // reported failure) StatusOK.
 type SubmitReply struct {
 	Status string
-	// CampaignDone piggybacks the campaign's fate on the submit reply: when
-	// true the worker exits without another lease round-trip. Without it a
-	// worker submitting the final cell races the coordinator's shutdown and
-	// burns MaxDowntime discovering a closed port.
+	// CampaignDone is set by a draining (one-shot) service once no
+	// campaign is live: the worker exits without another lease round-trip.
+	// Without it a worker submitting the final cell races the server's
+	// shutdown and burns MaxDowntime discovering a closed port.
 	CampaignDone bool
 }
 
@@ -175,11 +178,13 @@ const (
 	ErrCodeMethodNotAllowed = "method_not_allowed"
 )
 
-// TerminalError is a permanent rejection from the coordinator or campaign
-// service — a 4xx with a reason, not a transient outage. Retrying cannot
-// help (the request itself is wrong: unknown campaign, mismatched spec,
-// malformed submission), so workers and clients fail fast with exit code 2
-// instead of burning their MaxDowntime budget against a healthy server.
+// TerminalError is a permanent rejection from the campaign service — a 4xx
+// with a reason, not a transient outage. Retrying cannot help (the request
+// itself is wrong: unknown campaign, mismatched spec, malformed
+// submission), so workers and clients fail fast with exit code 2 instead
+// of burning their MaxDowntime budget against a healthy server.
+// Service.Submit reports its refusals with this type too, including the
+// 429s a client turns into a back-off instead.
 type TerminalError struct {
 	Path   string // endpoint that rejected the request
 	Status int    // HTTP status

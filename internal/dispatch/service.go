@@ -1,8 +1,10 @@
 package dispatch
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -16,10 +18,12 @@ import (
 	"mbusim/internal/telemetry"
 )
 
-// Service promotes the one-shot Coordinator into a long-running campaign
-// service: clients POST campaigns into a durable queue, one shared worker
-// fleet is multiplexed round-robin across every running campaign, and the
-// whole thing survives SIGKILL — the journal (accepted submissions + state
+// Service is the campaign service, the only HTTP front end of the dispatch
+// protocol: clients POST campaigns into a durable queue (a one-shot
+// `gefin -serve` Submits its one campaign in-process), one shared worker
+// fleet is multiplexed round-robin across every running campaign, each
+// campaign's cells are leased from its own Coordinator, and the whole thing
+// survives SIGKILL — the journal (accepted submissions + state
 // transitions) and the per-campaign ResultSet files are replayed on
 // restart, rebuilding queued, running and finished campaigns exactly,
 // so the final results are byte-identical to an uninterrupted run.
@@ -128,21 +132,17 @@ type svcCampaign struct {
 	// writer after that.
 	rs    *core.ResultSet
 	coord *Coordinator
-	// stop wakes the watcher goroutine when the campaign is cancelled (the
-	// coordinator never finishes on its own then — its cells just sit
-	// pending).
-	stop    chan struct{}
-	stopped bool
-
-	// flushMu guards flushErr, set by OnCell when persisting the results
-	// file fails; the watcher folds it into the campaign's fate.
-	flushMu  sync.Mutex
+	// onCell is the in-process submitter's per-cell callback (Submit); it
+	// is not journaled, so a replayed campaign has none.
+	onCell func(cell int, res *core.Result)
+	// flushErr is set by OnCell when persisting the results file fails;
+	// settleLocked folds it into the campaign's fate.
 	flushErr error
 }
 
 // Service is a durable multi-campaign coordinator. All state transitions
-// happen under one mutex; the HTTP handlers, the sweep loop and the
-// per-campaign watchers share it.
+// happen under one mutex, which the HTTP handlers and the sweep loop share;
+// every call into a campaign's Coordinator is made holding it.
 type Service struct {
 	opts ServiceOptions
 	dir  string
@@ -154,11 +154,14 @@ type Service struct {
 	order     []string // submission order; also the round-robin ring
 	rr        int      // round-robin cursor into order
 	nextID    int
-	workers   map[string]time.Time // worker -> last contact (service-wide)
-	joined    map[string]bool
+	workers   map[string]time.Time // worker -> last contact
+	joined    map[string]bool      // worker ids ever seen (join events fire once)
+	// draining is set by Drain: once no campaign is live, workers are sent
+	// home instead of told to wait.
+	draining bool
 
-	// fed merges worker metric snapshots exactly once per delivery; the
-	// per-campaign coordinators skip their own merge in sharedFleet mode.
+	// fed merges the metric snapshots workers piggyback on heartbeats and
+	// submits into the service's registry (per-worker + fleet labels).
 	fed *telemetry.Federator
 
 	// now is the service clock, swappable so tests pin timestamps.
@@ -229,7 +232,7 @@ func (s *Service) replay(recs []JournalRecord) error {
 				id: rec.ID, tenant: rec.Tenant, name: rec.Name,
 				budget: rec.Retries, specs: rec.Specs,
 				state: StateQueued, submittedNS: rec.TimeNS,
-				rs: core.NewResultSet(), stop: make(chan struct{}),
+				rs: core.NewResultSet(),
 			}
 			if c.budget <= 0 {
 				c.budget = s.opts.MaxRetries
@@ -259,9 +262,9 @@ func (s *Service) replay(recs []JournalRecord) error {
 	// Resume: load every live campaign's results file (completed cells
 	// survive the crash there, not in the journal) and rebuild the
 	// coordinators of campaigns that were running or paused. A campaign
-	// whose results already cover the grid finishes instantly through the
-	// normal watcher path and is journaled done — the crash landed between
-	// the last cell and the transition record.
+	// whose results already cover the grid settles instantly and is
+	// journaled done — the crash landed between the last cell and the
+	// transition record.
 	for _, id := range s.order {
 		c := s.campaigns[id]
 		if terminalState(c.state) {
@@ -279,8 +282,7 @@ func (s *Service) replay(recs []JournalRecord) error {
 			}
 		}
 	}
-	s.scheduleLocked()
-	s.refreshGaugesLocked()
+	s.tidyLocked()
 	return nil
 }
 
@@ -288,65 +290,73 @@ func (s *Service) resultsPath(id string) string {
 	return filepath.Join(s.dir, "results", id+".json")
 }
 
-// buildCoordinatorLocked attaches a fresh coordinator (and its watcher) to
-// a campaign, resuming from whatever c.rs already covers.
+// buildCoordinatorLocked attaches a fresh coordinator to a campaign,
+// resuming from whatever c.rs already covers.
 func (s *Service) buildCoordinatorLocked(c *svcCampaign) error {
-	rs, path := c.rs, s.resultsPath(c.id)
-	campaign := c
-	coord, err := New(c.specs, rs, Options{
-		LeaseTTL:    s.opts.LeaseTTL,
-		MaxRetries:  c.budget,
-		Tel:         s.tel,
-		Campaign:    c.id,
-		sharedFleet: true,
-		// OnCell invocations are serialized by the coordinator, so the
-		// flush below never races itself; it must not touch s.mu (it runs
-		// under the coordinator's lock, inside handlers that hold s.mu).
+	path := s.resultsPath(c.id)
+	coord, err := New(c.specs, c.rs, Options{
+		LeaseTTL:   s.opts.LeaseTTL,
+		MaxRetries: c.budget,
+		Tel:        s.tel,
+		Campaign:   c.id,
+		// OnCell runs inside a coordinator call, so under s.mu.
 		OnCell: func(cell int, res *core.Result) {
-			if err := rs.Save(path); err != nil {
-				campaign.flushMu.Lock()
-				if campaign.flushErr == nil {
-					campaign.flushErr = err
-				}
-				campaign.flushMu.Unlock()
+			if err := c.rs.Save(path); err != nil && c.flushErr == nil {
+				c.flushErr = err
 			}
-			s.tel.CampaignCellDone(campaign.id, campaign.tenant)
+			s.tel.CampaignCellDone(c.id, c.tenant)
+			if c.onCell != nil {
+				c.onCell(cell, res)
+			}
 		},
 	})
 	if err != nil {
 		return err
 	}
+	coord.now = s.now
 	c.coord = coord
-	go s.watch(c, coord)
 	return nil
 }
 
-// watch waits for one campaign's coordinator to finish and records its
-// fate. Cancellation closes c.stop instead — the coordinator never
-// finishes then, its cells just stay pending.
-func (s *Service) watch(c *svcCampaign, coord *Coordinator) {
-	select {
-	case <-coord.Done():
-	case <-c.stop:
-		return
+// settleLocked journals the fate of every campaign whose coordinator has
+// finished — done, or failed with the coordinator's error or the results
+// file's flush error — and reports whether any did. Coordinators finish
+// only inside calls made under s.mu, so settling after each such call
+// keeps every campaign's state current.
+func (s *Service) settleLocked() bool {
+	settled := false
+	for _, id := range s.order {
+		c := s.campaigns[id]
+		if c.coord == nil || terminalState(c.state) {
+			continue
+		}
+		select {
+		case <-c.coord.Done():
+		default:
+			continue
+		}
+		err := c.coord.Err()
+		if err == nil && c.flushErr != nil {
+			err = fmt.Errorf("campaign complete but results not durable: %w", c.flushErr)
+		}
+		if err != nil {
+			s.transitionLocked(c, StateFailed, err.Error())
+		} else {
+			s.transitionLocked(c, StateDone, "")
+		}
+		settled = true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if terminalState(c.state) {
-		return
-	}
-	err := coord.Err()
-	c.flushMu.Lock()
-	if err == nil && c.flushErr != nil {
-		err = fmt.Errorf("campaign complete but results not durable: %w", c.flushErr)
-	}
-	c.flushMu.Unlock()
-	if err != nil {
-		s.transitionLocked(c, StateFailed, err.Error())
-	} else {
-		s.transitionLocked(c, StateDone, "")
-	}
+	return settled
+}
+
+// tidyLocked follows every change to campaign or fleet state: it settles
+// finished campaigns, promotes queued ones into the active slots that
+// frees, and republishes the gauges.
+func (s *Service) tidyLocked() {
 	s.scheduleLocked()
+	for s.settleLocked() {
+		s.scheduleLocked()
+	}
 	s.refreshGaugesLocked()
 }
 
@@ -364,10 +374,6 @@ func (s *Service) transitionLocked(c *svcCampaign, state, detail string) {
 	c.state, c.detail = state, detail
 	if terminalState(state) {
 		c.finishedNS = s.now().UnixNano()
-		if !c.stopped {
-			c.stopped = true
-			close(c.stop)
-		}
 	}
 	s.tel.CampaignEntered(state)
 	s.tel.Emit(telemetry.Event{Type: telemetry.EventCampaignState,
@@ -425,7 +431,7 @@ func (s *Service) refreshGaugesLocked() {
 }
 
 // touchWorkerLocked records contact from a worker, emitting worker_join
-// once per id — the service owns the fleet view its coordinators suppress.
+// the first time an id is ever seen.
 func (s *Service) touchWorkerLocked(worker string) {
 	if worker == "" {
 		return
@@ -436,6 +442,37 @@ func (s *Service) touchWorkerLocked(worker string) {
 		s.tel.DispatchWorkerSeen()
 		s.tel.Emit(telemetry.Event{Type: telemetry.EventWorkerJoin, Worker: worker, Cell: -1})
 	}
+}
+
+// dropWorkerLocked removes a worker from the live set, emitting
+// worker_leave with the reason.
+func (s *Service) dropWorkerLocked(worker, why string) {
+	if _, ok := s.workers[worker]; !ok {
+		return
+	}
+	delete(s.workers, worker)
+	s.tel.Emit(telemetry.Event{Type: telemetry.EventWorkerLeave, Worker: worker, Cell: -1, Detail: why})
+}
+
+// liveLocked reports whether any campaign is not yet terminal.
+func (s *Service) liveLocked() bool {
+	for _, c := range s.campaigns {
+		if !terminalState(c.state) {
+			return true
+		}
+	}
+	return false
+}
+
+// sendHomeLocked reports whether a worker should exit: only while
+// draining, once no campaign is live. The worker leaves the live set then,
+// so Drain can tell when the whole fleet has been told.
+func (s *Service) sendHomeLocked(worker string) bool {
+	if !s.draining || s.liveLocked() {
+		return false
+	}
+	s.dropWorkerLocked(worker, "campaign over")
+	return true
 }
 
 // Sweep expires stale leases in every running campaign and drops workers
@@ -451,16 +488,14 @@ func (s *Service) Sweep() {
 	}
 	for w, last := range s.workers {
 		if now.Sub(last) > workerLiveWindow*s.opts.LeaseTTL {
-			delete(s.workers, w)
-			s.tel.Emit(telemetry.Event{Type: telemetry.EventWorkerLeave,
-				Worker: w, Cell: -1, Detail: "silent past live window"})
+			s.dropWorkerLocked(w, "silent past live window")
 		}
 	}
-	s.refreshGaugesLocked()
+	s.tidyLocked()
 }
 
 // Run drives the sweep loop until ctx is cancelled. Campaign completion is
-// event-driven (per-campaign watchers); Run only has to expire leases and
+// settled by the requests that cause it; Run only has to expire leases and
 // keep the gauges fresh.
 func (s *Service) Run(ctx context.Context) error {
 	tick := time.NewTicker(s.opts.LeaseTTL / 4)
@@ -473,6 +508,60 @@ func (s *Service) Run(ctx context.Context) error {
 			s.Sweep()
 		}
 	}
+}
+
+// Drain sends the worker fleet home once no campaign is live: the endgame
+// of a one-shot `gefin -serve`, the only caller (a -service-dir service
+// never drains, so its fleet stays across campaigns and restarts). From
+// the call on, a lease request that finds no live campaign is answered
+// StatusDone, and the submit that ends the last live campaign carries
+// CampaignDone, so its worker exits without another round-trip. Drain
+// waits for no campaign to be live, then for every live worker to have
+// been told, at most one lease TTL — serving through that window lets tail
+// workers learn the campaign's fate instead of finding a closed port. It
+// returns ctx.Err() when ctx ends first, else the failure of every
+// campaign that did not finish done (nil when all did).
+func (s *Service) Drain(ctx context.Context) error {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	var told <-chan time.Time
+wait:
+	for {
+		s.mu.Lock()
+		live, workers := s.liveLocked(), len(s.workers)
+		s.mu.Unlock()
+		switch {
+		case live:
+		case workers == 0:
+			break wait
+		case told == nil:
+			t := time.NewTimer(s.opts.LeaseTTL)
+			defer t.Stop()
+			told = t.C
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-told:
+			break wait
+		case <-tick.C:
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var errs []error
+	for _, id := range s.order {
+		switch c := s.campaigns[id]; c.state {
+		case StateFailed:
+			errs = append(errs, errors.New(c.detail))
+		case StateCancelled:
+			errs = append(errs, fmt.Errorf("campaign %s was cancelled", id))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Close closes the journal. In-flight handlers racing Close may lose their
@@ -518,14 +607,13 @@ func (s *Service) Mux() *http.ServeMux {
 		return c.coord.heartbeat(req)
 	}))
 	mux.HandleFunc(PathSubmit, routed(s, func(c *svcCampaign, req *SubmitRequest) *SubmitReply {
-		if c.coord == nil || terminalState(c.state) {
-			// Work for a finished campaign: discard. CampaignDone stays
-			// false — in service mode the fleet persists across campaigns
-			// and only a signal sends a worker home.
-			return &SubmitReply{Status: StatusStale}
+		// Work for a finished campaign is discarded.
+		rep := &SubmitReply{Status: StatusStale}
+		if c.coord != nil && !terminalState(c.state) {
+			rep = c.coord.submit(req)
+			s.tidyLocked()
 		}
-		rep := c.coord.submit(req)
-		rep.CampaignDone = false
+		rep.CampaignDone = s.sendHomeLocked(req.Worker)
 		return rep
 	}))
 	mux.HandleFunc(PathAbandon, routed(s, func(c *svcCampaign, req *AbandonRequest) *AbandonReply {
@@ -582,45 +670,48 @@ func validName(s string) bool {
 	return true
 }
 
-// handleSubmitCampaign is POST /campaigns: validate, admit, journal,
-// queue. The journal append happens before the 201 — acknowledgement IS
-// the durability promise — and a failed append refuses the submission.
-func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	var req SubmitCampaignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), 0)
-		return
+// Submit admits one campaign: validate, apply the admission quotas,
+// journal, queue. The journal append happens before Submit returns —
+// acknowledgement IS the durability promise — and a failed append refuses
+// the submission. A named submission matching a live campaign of the same
+// tenant returns that campaign, with created false. Refusals are
+// TerminalErrors carrying the HTTP status and APIError code the campaign
+// API answers with (429 for a quota that may free up, 400 for a submission
+// that can never be admitted). onCell, when non-nil, observes each newly
+// completed cell (an index into req.Specs), serialized; it is not
+// journaled, so a restarted service never calls it.
+func (s *Service) Submit(req *SubmitCampaignRequest, onCell func(cell int, res *core.Result)) (info CampaignInfo, created bool, err error) {
+	reject := func(status int, code, format string, args ...any) (CampaignInfo, bool, error) {
+		return CampaignInfo{}, false, &TerminalError{Path: PathCampaigns, Status: status,
+			Code: code, Msg: fmt.Sprintf(format, args...)}
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	if !validName(req.Tenant) || !validName(req.Name) {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			"tenant and name must be [A-Za-z0-9._:-], at most 64 chars", 0)
-		return
+	tenant := cmp.Or(req.Tenant, "default")
+	if !validName(tenant) || !validName(req.Name) {
+		return reject(http.StatusBadRequest, ErrCodeBadRequest,
+			"tenant and name must be [A-Za-z0-9._:-], at most 64 chars")
 	}
 	if req.Retries < 0 {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, "retries must be >= 0", 0)
-		return
+		return reject(http.StatusBadRequest, ErrCodeBadRequest, "retries must be >= 0")
 	}
 	if len(req.Specs) == 0 {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeInvalidSpec, "no cells in submission", 0)
-		return
+		return reject(http.StatusBadRequest, ErrCodeInvalidSpec, "no cells in submission")
+	}
+	if len(req.Specs) > s.opts.TenantCells {
+		return reject(http.StatusBadRequest, ErrCodeTenantCells,
+			"%d cells exceed the per-tenant live-cell limit (%d) on their own: split the grid",
+			len(req.Specs), s.opts.TenantCells)
 	}
 	seen := make(map[core.CellKey]bool, len(req.Specs))
 	for i, spec := range req.Specs {
 		if err := spec.Validate(); err != nil {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeInvalidSpec,
-				fmt.Sprintf("spec %d: %v", i, err), 0)
-			return
+			return reject(http.StatusBadRequest, ErrCodeInvalidSpec, "spec %d: %v", i, err)
 		}
-		if k := spec.Key(); seen[k] {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeInvalidSpec,
-				fmt.Sprintf("spec %d: duplicate cell %s/%s/%d-bit", i, k.Component, k.Workload, k.Faults), 0)
-			return
-		} else {
-			seen[k] = true
+		k := spec.Key()
+		if seen[k] {
+			return reject(http.StatusBadRequest, ErrCodeInvalidSpec,
+				"spec %d: duplicate cell %s/%s/%d-bit", i, k.Component, k.Workload, k.Faults)
 		}
+		seen[k] = true
 	}
 
 	s.mu.Lock()
@@ -632,15 +723,13 @@ func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	if req.Name != "" {
 		for _, id := range s.order {
 			c := s.campaigns[id]
-			if c.tenant == req.Tenant && c.name == req.Name && !terminalState(c.state) {
-				writeJSON(w, http.StatusOK, s.infoLocked(c))
-				return
+			if c.tenant == tenant && c.name == req.Name && !terminalState(c.state) {
+				return s.infoLocked(c), false, nil
 			}
 		}
 	}
 
-	// Admission control. Retry-After tracks the lease TTL: by then at
-	// least one sweep has run and some campaign has likely made progress.
+	// Admission control.
 	var queued, tenantLive, tenantCells int
 	for _, c := range s.campaigns {
 		if terminalState(c.state) {
@@ -649,29 +738,23 @@ func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		if c.state == StateQueued {
 			queued++
 		}
-		if c.tenant == req.Tenant {
+		if c.tenant == tenant {
 			tenantLive++
 			tenantCells += len(c.specs)
 		}
 	}
-	retryAfter := s.opts.LeaseTTL
+	busy := func(code, format string, args ...any) (CampaignInfo, bool, error) {
+		s.tel.AdmissionRejected(tenant, code)
+		return reject(http.StatusTooManyRequests, code, format, args...)
+	}
 	switch {
 	case queued >= s.opts.QueueDepth:
-		s.tel.AdmissionRejected(req.Tenant, ErrCodeQueueFull)
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeQueueFull,
-			fmt.Sprintf("campaign queue full (%d queued)", queued), retryAfter)
-		return
+		return busy(ErrCodeQueueFull, "campaign queue full (%d queued)", queued)
 	case tenantLive >= s.opts.TenantCampaigns:
-		s.tel.AdmissionRejected(req.Tenant, ErrCodeTenantCampaigns)
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeTenantCampaigns,
-			fmt.Sprintf("tenant %s at its live-campaign limit (%d)", req.Tenant, tenantLive), retryAfter)
-		return
+		return busy(ErrCodeTenantCampaigns, "tenant %s at its live-campaign limit (%d)", tenant, tenantLive)
 	case tenantCells+len(req.Specs) > s.opts.TenantCells:
-		s.tel.AdmissionRejected(req.Tenant, ErrCodeTenantCells)
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeTenantCells,
-			fmt.Sprintf("tenant %s would exceed its live-cell limit (%d live + %d submitted > %d)",
-				req.Tenant, tenantCells, len(req.Specs), s.opts.TenantCells), retryAfter)
-		return
+		return busy(ErrCodeTenantCells, "tenant %s would exceed its live-cell limit (%d live + %d submitted > %d)",
+			tenant, tenantCells, len(req.Specs), s.opts.TenantCells)
 	}
 
 	budget := req.Retries
@@ -684,25 +767,50 @@ func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	// rebuilds the campaign from.
 	if err := s.journal.Append(JournalRecord{
 		Op: JournalOpSubmit, ID: id, TimeNS: now,
-		Tenant: req.Tenant, Name: req.Name, Retries: budget, Specs: req.Specs,
+		Tenant: tenant, Name: req.Name, Retries: budget, Specs: req.Specs,
 	}); err != nil {
-		writeAPIError(w, http.StatusInternalServerError, "journal_error", err.Error(), 0)
-		return
+		return CampaignInfo{}, false, fmt.Errorf("dispatch: journal: %w", err)
 	}
 	s.nextID++
 	c := &svcCampaign{
-		id: id, tenant: req.Tenant, name: req.Name, budget: budget,
+		id: id, tenant: tenant, name: req.Name, budget: budget,
 		specs: req.Specs, state: StateQueued, submittedNS: now,
-		rs: core.NewResultSet(), stop: make(chan struct{}),
+		rs: core.NewResultSet(), onCell: onCell,
 	}
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
 	s.tel.CampaignEntered(StateQueued)
 	s.tel.Emit(telemetry.Event{Type: telemetry.EventCampaignQueued,
 		Campaign: id, Tenant: c.tenant, Cell: -1, Cells: len(c.specs)})
-	s.scheduleLocked()
-	s.refreshGaugesLocked()
-	writeJSON(w, http.StatusCreated, s.infoLocked(c))
+	s.tidyLocked()
+	return s.infoLocked(c), true, nil
+}
+
+// handleSubmitCampaign is POST /campaigns: decode, Submit, write. A 429
+// carries a Retry-After of one lease TTL: by then at least one sweep has
+// run and some campaign has likely made progress.
+func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
+	var req SubmitCampaignRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), 0)
+		return
+	}
+	info, created, err := s.Submit(&req, nil)
+	var term *TerminalError
+	switch {
+	case errors.As(err, &term):
+		var retryAfter time.Duration
+		if term.Status == http.StatusTooManyRequests {
+			retryAfter = s.opts.LeaseTTL
+		}
+		writeAPIError(w, term.Status, term.Code, term.Msg, retryAfter)
+	case err != nil:
+		writeAPIError(w, http.StatusInternalServerError, "journal_error", err.Error(), 0)
+	case created:
+		writeJSON(w, http.StatusCreated, info)
+	default:
+		writeJSON(w, http.StatusOK, info)
+	}
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
@@ -791,7 +899,6 @@ func (s *Service) handleAction(w http.ResponseWriter, r *http.Request) {
 			// charge; workers find out via StatusExpired heartbeats.
 			c.coord.Release()
 		}
-		s.scheduleLocked()
 	case "resume":
 		if c.state != StatePaused {
 			bad()
@@ -802,7 +909,6 @@ func (s *Service) handleAction(w http.ResponseWriter, r *http.Request) {
 		// (subject to the active-slot limit, which counts running only —
 		// resume re-runs the scheduler rather than jumping the line).
 		s.transitionLocked(c, StateQueued, "")
-		s.scheduleLocked()
 	case "cancel":
 		if terminalState(c.state) {
 			bad()
@@ -812,23 +918,21 @@ func (s *Service) handleAction(w http.ResponseWriter, r *http.Request) {
 		if c.coord != nil {
 			c.coord.Release()
 		}
-		s.scheduleLocked()
 	default:
 		writeAPIError(w, http.StatusNotFound, ErrCodeBadRequest,
 			"unknown action (want pause, resume or cancel)", 0)
 		return
 	}
-	s.refreshGaugesLocked()
+	s.tidyLocked()
 	writeJSON(w, http.StatusOK, s.infoLocked(c))
 }
 
 // lease multiplexes the shared fleet: running campaigns are offered the
 // worker round-robin, so N campaigns make progress together instead of
-// starving in submission order. A coordinator replying done (its campaign
-// just finished, watcher not yet run) or wait (tail: all pending cells
-// leased) is skipped; only when no campaign has work does the worker get
-// StatusWait — never StatusDone, because the service outlives any one
-// campaign and the fleet should stay.
+// starving in submission order. A coordinator with no free cell (its
+// campaign tail, or its campaign just ended) is skipped; when no campaign
+// has work the worker gets StatusWait — the service outlives any one
+// campaign and the fleet should stay — unless Drain is sending it home.
 func (s *Service) lease(req *LeaseRequest) *LeaseReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -839,14 +943,16 @@ func (s *Service) lease(req *LeaseRequest) *LeaseReply {
 		if c.state != StateRunning || c.coord == nil {
 			continue
 		}
-		rep := c.coord.lease(req)
-		if rep.Status == StatusLease {
+		if rep := c.coord.lease(req); rep.Status == StatusLease {
 			s.rr = (s.rr + k + 1) % n
-			s.refreshGaugesLocked()
+			s.tidyLocked()
 			return rep
 		}
 	}
-	s.refreshGaugesLocked()
+	s.tidyLocked()
+	if s.sendHomeLocked(req.Worker) {
+		return &LeaseReply{Status: StatusDone}
+	}
 	return &LeaseReply{Status: StatusWait, RetryAfter: s.opts.LeaseTTL / 4}
 }
 
@@ -882,7 +988,7 @@ func routed[Req, Rep any](s *Service, f func(*svcCampaign, *Req) *Rep) http.Hand
 			return
 		}
 		rep := f(c, &req)
-		s.refreshGaugesLocked()
+		s.tidyLocked()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, rep)
 	}
@@ -919,5 +1025,88 @@ func (s *Service) Snapshot() map[string]any {
 		"by_state":    states,
 		"queue_depth": queued,
 		"workers":     len(s.workers),
+	}
+}
+
+// maxEventWait caps how long one /dispatch/events long-poll may hang; the
+// client just re-polls with the same since on an empty body.
+const maxEventWait = 30 * time.Second
+
+// eventsHandler serves GET ?since=<seq>[&wait=<dur>]: JSONL of every event
+// with Seq > since, long-polling up to wait (default 10s) when none exist
+// yet. 404 when no event log is attached. A non-empty campaign filters the
+// stream to that campaign's events — the long-poll keeps draining the
+// shared log until a matching event arrives or the wait expires, advancing
+// the caller's cursor past the non-matching ones either way.
+func eventsHandler(tel *telemetry.Campaign, campaign string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+			return
+		}
+		var log *telemetry.EventLog
+		if tel != nil {
+			log = tel.Events
+		}
+		if log == nil {
+			http.Error(w, "event log disabled", http.StatusNotFound)
+			return
+		}
+		var since uint64
+		if s := r.URL.Query().Get("since"); s != "" {
+			v, err := strconv.ParseUint(s, 10, 64)
+			if err != nil {
+				http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			since = v
+		}
+		wait := 10 * time.Second
+		if s := r.URL.Query().Get("wait"); s != "" {
+			d, err := time.ParseDuration(s)
+			if err != nil {
+				http.Error(w, "bad wait: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			wait = min(d, maxEventWait)
+		}
+		deadline := time.Now().Add(wait)
+		var out []telemetry.Event
+		for {
+			evs := log.WaitSince(r.Context(), since, time.Until(deadline))
+			for _, ev := range evs {
+				since = ev.Seq
+				if campaign == "" || ev.Campaign == campaign {
+					out = append(out, ev)
+				}
+			}
+			if len(out) > 0 || len(evs) == 0 || !time.Now().Before(deadline) {
+				break
+			}
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for _, ev := range out {
+			if err := enc.Encode(ev); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// handle adapts a typed request/reply function to an http.HandlerFunc.
+func handle[Req, Rep any](f func(*Req) *Rep) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(f(&req))
 	}
 }

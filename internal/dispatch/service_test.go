@@ -52,6 +52,36 @@ func newTestService(t *testing.T, dir string, opts ServiceOptions) (*Service, *t
 	return svc, tel, srv
 }
 
+// svcClock installs a manual clock on the service — and so on every
+// coordinator it builds afterwards — and returns the advance function.
+func svcClock(s *Service) func(d time.Duration) {
+	now := time.Unix(1_700_000_000, 0)
+	s.now = func() time.Time { return now }
+	return func(d time.Duration) { now = now.Add(d) }
+}
+
+// serveOneShot stands up what a one-shot `gefin -serve` runs: a service on
+// a fresh state directory with specs submitted in-process, its sweep loop,
+// and Drain, whose result arrives on the returned channel.
+func serveOneShot(t *testing.T, ctx context.Context, specs []core.Spec, opts ServiceOptions) (*Service, *svcCampaign, *telemetry.Campaign, *httptest.Server, <-chan error) {
+	t.Helper()
+	svc, tel, srv := newTestService(t, t.TempDir(), opts)
+	info, _, err := svc.Submit(&SubmitCampaignRequest{Specs: specs}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := svc.campaigns[info.ID]
+	go svc.Run(ctx)
+	drained := make(chan error, 1)
+	go func() { drained <- svc.Drain(ctx) }()
+	for draining := false; !draining; time.Sleep(time.Millisecond) {
+		svc.mu.Lock()
+		draining = svc.draining
+		svc.mu.Unlock()
+	}
+	return svc, c, tel, srv, drained
+}
+
 // postJSON posts a JSON body and decodes the JSON reply, returning the
 // HTTP status — admission tests need the raw status and headers, which the
 // retrying Client deliberately hides.
@@ -330,9 +360,26 @@ func TestServiceAdmissionQueueAndCells(t *testing.T) {
 		t.Fatalf("first submit = %d (%+v), want 201", code, apiErr)
 	}
 	code, _, _, apiErr := submitRaw(t, srv.URL, &SubmitCampaignRequest{
-		Tenant: "t0", Specs: svcGrid(9)})
+		Tenant: "t0", Specs: svcGrid(8)})
 	if code != http.StatusTooManyRequests || apiErr.Code != ErrCodeTenantCells {
-		t.Fatalf("oversized submit = %d %+v, want 429 tenant_cells", code, apiErr)
+		t.Fatalf("over-quota submit = %d %+v, want 429 tenant_cells", code, apiErr)
+	}
+	// A submission over the cap on its own can never be admitted: a typed
+	// 400, which the client returns at once instead of retrying the 429.
+	code, _, _, apiErr = submitRaw(t, srv.URL, &SubmitCampaignRequest{
+		Tenant: "t9", Specs: svcGrid(9)})
+	if code != http.StatusBadRequest || apiErr.Code != ErrCodeTenantCells {
+		t.Fatalf("oversized submit = %d %+v, want 400 tenant_cells", code, apiErr)
+	}
+	cl := &Client{URL: srv.URL, Backoff: fastBackoff(), MaxWait: 30 * time.Second}
+	start := time.Now()
+	_, err := cl.SubmitCampaign(context.Background(), &SubmitCampaignRequest{Tenant: "t9", Specs: svcGrid(9)})
+	var term *TerminalError
+	if !errors.As(err, &term) || term.Code != ErrCodeTenantCells {
+		t.Fatalf("client oversized submit = %v, want a tenant_cells TerminalError", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("oversized submit took %v — the client retried it", elapsed)
 	}
 
 	// One campaign fits the queue; the next finds it full.
@@ -594,4 +641,50 @@ func TestServiceJournalUnwritableRefusesSubmission(t *testing.T) {
 		t.Fatalf("refused submission still queued: %v", svc.Snapshot())
 	}
 	_ = os.Remove(filepath.Join(dir, "journal.jsonl"))
+}
+
+// TestServiceDrainSendsFleetHome: while draining, the submit that ends the
+// last live campaign carries CampaignDone and a tail worker's next lease is
+// StatusDone. Drain returns as soon as both are told, or one lease TTL
+// after the campaign ended when a worker never comes back.
+func TestServiceDrainSendsFleetHome(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, ttl := range []time.Duration{time.Minute, time.Second} {
+		specs := protoGrid(1)
+		_, _, _, srv, drained := serveOneShot(t, ctx, specs, ServiceOptions{LeaseTTL: ttl})
+		var last, tail LeaseReply
+		postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "last"}, &last)
+		postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "tail"}, &tail)
+		if last.Status != StatusLease || tail.Status != StatusWait {
+			t.Fatalf("leases = %+v, %+v; want a lease, then wait", last, tail)
+		}
+		var sub SubmitReply
+		postJSON(t, srv.URL+PathSubmit, &SubmitRequest{Worker: "last", LeaseID: last.LeaseID,
+			Campaign: last.Campaign, Cell: last.Cell, Result: fakeResult(specs[0])}, &sub)
+		if sub.Status != StatusAccepted || !sub.CampaignDone {
+			t.Fatalf("final submit = %+v, want accepted with campaign done", sub)
+		}
+		if ttl == time.Minute {
+			select {
+			case err := <-drained:
+				t.Fatalf("Drain returned (%v) before the tail worker was told", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "tail"}, &tail)
+			if tail.Status != StatusDone {
+				t.Fatalf("tail lease after the campaign = %+v, want done", tail)
+			}
+		}
+		// With a minute's TTL only telling the tail worker can end Drain in
+		// time; with a second's, the silent tail worker is waited out.
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Fatalf("Drain = %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Drain (TTL %v) did not return", ttl)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sync"
 	"time"
+	"unicode"
 )
 
 // Campaign event log: a durable, ordered record of everything that happens
@@ -52,8 +53,8 @@ type Event struct {
 	Type   string `json:"type"`
 
 	// Campaign is the campaign-service campaign id the event belongs to;
-	// empty on single-campaign (one-shot -serve or local) runs, where the
-	// whole log is one campaign.
+	// empty on local runs, where the whole log is one campaign, and on the
+	// campaign_start a one-shot -serve writes before submitting its grid.
 	Campaign string `json:"campaign,omitempty"`
 	// Tenant is the submitting tenant, on campaign-service lifecycle events.
 	Tenant string `json:"tenant,omitempty"`
@@ -119,30 +120,52 @@ func OpenEventLog(path string) (*EventLog, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	var last uint64
-	if len(data) > 0 {
-		evs, err := ReadEvents(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: event log %s: %w", path, err)
-		}
-		if n := len(evs.Events); n > 0 {
-			last = evs.Events[n-1].Seq
-		}
-		// Keep only whole lines: everything after the last newline is the
-		// torn tail of an interrupted write.
-		if cut := bytes.LastIndexByte(data, '\n') + 1; cut < len(data) {
-			if err := os.Truncate(path, int64(cut)); err != nil {
-				return nil, err
-			}
-		}
+	evs, err := ReadEvents(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: event log %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	var last uint64
+	if n := len(evs.Events); n > 0 {
+		last = evs.Events[n-1].Seq
+	}
+	f, err := ReopenJSONL(path, data, evs.Truncated > 0)
 	if err != nil {
 		return nil, err
 	}
 	l := NewEventLog(f, last)
 	l.closer = f
 	return l, nil
+}
+
+// ReopenJSONL opens the JSONL file at path, whose contents are data, for
+// appending right after the last line a reader accepted. torn says the
+// reader dropped a malformed final line: that line goes too, or the next
+// append would strand it mid-stream, where every later read rejects it as
+// corruption. Anything after the last accepted line is cut, and a kept
+// final line missing its newline gets one.
+func ReopenJSONL(path string, data []byte, torn bool) (*os.File, error) {
+	keep := len(bytes.TrimRightFunc(data, unicode.IsSpace))
+	if torn {
+		keep = bytes.LastIndexByte(data[:keep], '\n') + 1
+	} else if keep < len(data) && data[keep] == '\n' {
+		keep++
+	}
+	if keep < len(data) {
+		if err := os.Truncate(path, int64(keep)); err != nil {
+			return nil, err
+		}
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if keep > 0 && data[keep-1] != '\n' {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return f, nil
 }
 
 // Emit assigns the next sequence number and timestamp to ev, records it,

@@ -117,31 +117,44 @@ func TestOpenEventLogContinuesSequenceAcrossRestart(t *testing.T) {
 }
 
 func TestOpenEventLogTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	torn := `{"seq":1,"t_ns":1,"type":"campaign_start","cell":-1}` + "\n" +
-		`{"seq":2,"t_ns":2,"type":"cell_done","ce` // killed mid-write
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	whole := `{"seq":1,"t_ns":1,"type":"campaign_start","cell":-1}` + "\n"
+	for _, tc := range []struct{ name, tail string }{
+		{"half line", `{"seq":2,"t_ns":2,"type":"cell_done","ce`}, // killed mid-write
+		// A damaged line ending in a newline must go too, or the next append
+		// strands it mid-stream and every later open fails.
+		{"garbage line", "\x00\x00\x00\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "events.jsonl")
+			if err := os.WriteFile(path, []byte(whole+tc.tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	l, err := OpenEventLog(path)
-	if err != nil {
-		t.Fatalf("torn tail must not be fatal: %v", err)
-	}
-	ev := l.Emit(Event{Type: EventCellDone, Cell: 0})
-	if ev.Seq != 2 {
-		t.Fatalf("seq after torn line = %d, want 2 (torn line discarded)", ev.Seq)
-	}
-	l.Close()
+			l, err := OpenEventLog(path)
+			if err != nil {
+				t.Fatalf("torn tail must not be fatal: %v", err)
+			}
+			ev := l.Emit(Event{Type: EventCellDone, Cell: 0})
+			if ev.Seq != 2 {
+				t.Fatalf("seq after torn line = %d, want 2 (torn line discarded)", ev.Seq)
+			}
+			l.Close()
 
-	data, _ := os.ReadFile(path)
-	el, err := ReadEvents(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("reopened log must parse cleanly end to end: %v\n%s", err, data)
-	}
-	if len(el.Events) != 2 || el.Truncated != 0 {
-		t.Fatalf("after truncate-and-append: %d events, %d truncated\n%s",
-			len(el.Events), el.Truncated, data)
+			data, _ := os.ReadFile(path)
+			el, err := ReadEvents(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("reopened log must parse cleanly end to end: %v\n%s", err, data)
+			}
+			if len(el.Events) != 2 || el.Truncated != 0 {
+				t.Fatalf("after truncate-and-append: %d events, %d truncated\n%s",
+					len(el.Events), el.Truncated, data)
+			}
+			l2, err := OpenEventLog(path)
+			if err != nil {
+				t.Fatalf("second reopen: %v", err)
+			}
+			l2.Close()
+		})
 	}
 }
 
