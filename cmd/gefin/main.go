@@ -37,9 +37,12 @@
 // -service-dir the service is durable and long-running instead: campaigns
 // arrive over HTTP (-submit), and a killed service resumes from its journal.
 //
+// Each mode accepts only the flags it uses: every flag declares its modes,
+// a flag set outside them exits 2, and gefin -h lists them.
+//
 // Exit status: 0 on success, 1 on runtime errors, 2 on bad configuration
-// (unknown component/workload, impossible cardinality), 130 when
-// interrupted by a signal.
+// (unknown component/workload, impossible cardinality, a flag the mode
+// does not use), 130 when interrupted by a signal.
 package main
 
 import (
@@ -87,6 +90,197 @@ func (f *forensicsFlag) Set(s string) error {
 // consuming the next argument.
 func (f *forensicsFlag) IsBoolFlag() bool { return true }
 
+// mode is the role a gefin process plays. Each mode is one bit, so every
+// flag declares the set of modes that accept it.
+type mode uint
+
+const (
+	modeLocal mode = 1 << iota
+	modeServe
+	modeService
+	modeJoin
+	modeSubmit
+	modeCampaigns
+	modeWatch
+	modeProfile
+
+	// modeGrid is every mode that builds a grid from the grid flags.
+	modeGrid = modeLocal | modeServe | modeSubmit
+	modeAny  = modeProfile<<1 - 1
+)
+
+// modes names each mode and says why it rejects the flags it does not use.
+// A mode named after a flag is selected by giving that flag a value; -serve
+// with -service-dir selects the service instead, and no mode flag selects
+// local.
+var modes = []struct {
+	m            mode
+	name, reason string
+}{
+	{modeLocal, "local", "without a mode flag gefin runs the grid in this process (a service flag needs -serve, a worker flag -join)"},
+	{modeServe, "serve", "a one-shot -serve leases the grid's cells to -join workers, which run them"},
+	{modeService, "service", "the campaign service takes its grids from POST /campaigns, not flags"},
+	{modeJoin, "join", "-join takes its grid from the service and submits results back to it (grid and output flags belong on the -serve side)"},
+	{modeSubmit, "submit", "-submit hands the grid flags to a campaign service, which runs and stores the campaign"},
+	{modeCampaigns, "campaigns", "-campaigns lists, shows or transitions a campaign service's campaigns"},
+	{modeWatch, "watch", "-watch observes a campaign from outside"},
+	{modeProfile, "profile", "-profile observes golden runs locally and writes .mbup artifacts into its directory, not a results file"},
+}
+
+// String lists the modes in m by name.
+func (m mode) String() string {
+	var names []string
+	for _, d := range modes {
+		if m&d.m != 0 {
+			names = append(names, d.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// config is gefin's command line, parsed and checked against its mode.
+type config struct {
+	mode mode
+
+	// The grid, the results file and the local run.
+	workload, comp        string
+	faults, samples       int
+	seed                  uint64
+	all, nockpt, nodelta  bool
+	wallTimeout           time.Duration
+	forensics             forensicsFlag
+	outPath               string
+	resume, quiet         bool
+	parallel, checkpoints int
+
+	// Profiling and telemetry.
+	cpuProfile, memProfile, tracePath string
+	metricsAddr, eventsPath           string
+	status                            time.Duration
+
+	// The service and its clients.
+	serveAddr, serviceDir        string
+	queueDepth, maxActive        int
+	tenantCampaigns, tenantCells int
+	leaseTTL                     time.Duration
+	retries                      int
+	submitAddr, tenant, name     string
+	campaignOut                  string
+	campaignsAddr, campaignID    string
+	doAction                     string
+
+	// Workers, observers and profiles.
+	joinAddr, workerID, cacheDir string
+	noArtifacts                  bool
+	watchURL, profileDir         string
+	windows                      int
+}
+
+// newFlags declares every flag on c's fields, each with the modes that
+// accept it.
+func newFlags(c *config, stderr io.Writer) (*flag.FlagSet, map[string]mode) {
+	fs := flag.NewFlagSet("gefin", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	accepts := map[string]mode{}
+	in := func(m mode, name string) string {
+		accepts[name] = m
+		return name
+	}
+	fs.StringVar(&c.workload, in(modeGrid|modeProfile, "workload"), "", "workload name, or comma-separated list with -all or -profile (empty with -all or -profile means every workload)")
+	fs.StringVar(&c.comp, in(modeGrid, "comp"), "", "component: L1D, L1I, L2, RegFile, DTLB, ITLB; comma-separated list with -all (empty with -all means every component)")
+	fs.IntVar(&c.faults, in(modeGrid, "faults"), 1, "fault cardinality 1-3 (ignored with -all: all three run)")
+	fs.IntVar(&c.samples, in(modeGrid, "samples"), 100, "injections per cell")
+	fs.Uint64Var(&c.seed, in(modeGrid, "seed"), 1, "campaign seed")
+	fs.BoolVar(&c.all, in(modeGrid, "all"), false, "run the full component x workload x cardinality grid")
+	fs.StringVar(&c.outPath, in(modeLocal|modeServe, "out"), "", "write results JSON to this file (atomically, after every completed cell)")
+	fs.BoolVar(&c.resume, in(modeLocal|modeServe, "resume"), false, "load an existing -out file and run only the cells it does not already cover")
+	fs.IntVar(&c.parallel, in(modeLocal, "parallel"), 0, "cells dispatched concurrently (0 = GOMAXPROCS; sample workers share the cores)")
+	// Every mode accepts -q, so one flag list can quiet any gefin process.
+	fs.BoolVar(&c.quiet, in(modeAny, "q"), false, "suppress per-cell progress")
+	// A profile is the same under every execution strategy, and -profile
+	// accepts -nockpt and -nodelta so that is checkable from the CLI.
+	fs.BoolVar(&c.nockpt, in(modeGrid|modeProfile, "nockpt"), false, "replay every run from cycle 0 instead of fast-forwarding from golden checkpoints")
+	fs.BoolVar(&c.nodelta, in(modeGrid|modeProfile, "nodelta"), false, "build and fully restore a fresh machine per sample instead of delta-restoring one reused machine per worker (A/B verification knob)")
+	fs.IntVar(&c.checkpoints, in(modeLocal|modeServe|modeService|modeJoin, "checkpoints"), workloads.CheckpointCount, "golden checkpoints per workload (K)")
+	fs.StringVar(&c.cpuProfile, in(modeAny&^modeWatch, "cpuprofile"), "", "write a CPU profile of the campaign to this file")
+	fs.StringVar(&c.memProfile, in(modeLocal|modeServe, "memprofile"), "", "write a heap profile after the campaign to this file")
+	fs.StringVar(&c.tracePath, in(modeLocal|modeJoin, "trace"), "", "write a JSONL trace (one record per injection sample) to this file, flushed per cell")
+	fs.StringVar(&c.metricsAddr, in(modeLocal|modeServe|modeService|modeJoin|modeProfile, "metrics-addr"), "", "serve live campaign metrics on host:port (/metrics Prometheus text, /healthz, /debug/vars expvar, /debug/pprof)")
+	fs.DurationVar(&c.status, in(modeLocal|modeServe|modeService|modeJoin, "status"), 0, "print a periodic campaign summary to stderr at this interval (works with -q; 0 disables)")
+	fs.StringVar(&c.eventsPath, in(modeLocal|modeServe|modeService|modeJoin, "events"), "", "append the campaign event log (JSONL, one event per line) to this file; with -resume an existing log is continued, sequence numbers stay strictly monotonic")
+	fs.StringVar(&c.watchURL, in(modeWatch, "watch"), "", "observe a running -serve at host:port: stream its campaign event log and render a live fleet dashboard")
+	fs.StringVar(&c.serveAddr, in(modeServe|modeService, "serve"), "", "coordinate a distributed campaign: run the campaign service on host:port and lease the grid's cells to -join workers instead of running them in-process (see -service-dir)")
+	fs.StringVar(&c.joinAddr, in(modeJoin, "join"), "", "work for a -serve at host:port: lease cells, run them, submit results")
+	fs.StringVar(&c.serviceDir, in(modeService, "service-dir"), "", "with -serve: run the durable multi-campaign service instead of serving the grid flags as one campaign, keeping its journal, event log and per-campaign results files in this directory (campaigns arrive via POST /campaigns)")
+	fs.IntVar(&c.queueDepth, in(modeService, "queue-depth"), 64, "campaigns allowed to wait in the queue before submissions bounce with 429")
+	fs.IntVar(&c.maxActive, in(modeService, "max-active"), 4, "campaigns run concurrently over the shared worker fleet")
+	fs.IntVar(&c.tenantCampaigns, in(modeService, "tenant-campaigns"), 8, "live campaigns allowed per tenant")
+	fs.IntVar(&c.tenantCells, in(modeService, "tenant-cells"), 4096, "live cells allowed per tenant across its campaigns")
+	fs.StringVar(&c.submitAddr, in(modeSubmit, "submit"), "", "submit the grid flags as one campaign to the service at host:port and print its id (see -tenant/-name/-campaign-out)")
+	fs.StringVar(&c.campaignsAddr, in(modeCampaigns, "campaigns"), "", "query the service at host:port: list campaigns, or one campaign's status with -campaign, or transition it with -do")
+	fs.StringVar(&c.campaignID, in(modeCampaigns, "campaign"), "", "campaign id for -campaigns status and -do")
+	fs.StringVar(&c.doAction, in(modeCampaigns, "do"), "", "pause, resume or cancel the -campaign")
+	fs.StringVar(&c.tenant, in(modeSubmit, "tenant"), "", "tenant identity for admission quotas (default \"default\")")
+	fs.StringVar(&c.name, in(modeSubmit, "name"), "", "idempotency name — resubmitting while a campaign of this name is live returns it instead of queuing a duplicate")
+	fs.StringVar(&c.campaignOut, in(modeSubmit, "campaign-out"), "", "wait for the campaign to finish and write its results file here (byte-identical to the service's durable copy)")
+	fs.StringVar(&c.workerID, in(modeJoin, "worker-id"), "", "worker identity reported to the service (default host:pid)")
+	fs.DurationVar(&c.leaseTTL, in(modeServe|modeService, "lease-ttl"), 15*time.Second, "a worker silent this long loses its lease and the cell is reassigned")
+	fs.IntVar(&c.retries, in(modeServe|modeService|modeSubmit, "retries"), 5, "reassignments allowed per cell before the campaign fails naming it")
+	fs.DurationVar(&c.wallTimeout, in(modeGrid, "wall-timeout"), 0, "per-sample wall-clock budget; a sample exceeding it is recorded as a timeout (0 = no watchdog)")
+	fs.StringVar(&c.cacheDir, in(modeJoin, "cache-dir"), defaultCacheDir(), "disk cache for checkpoint artifacts fetched from the service (empty = no disk cache)")
+	fs.BoolVar(&c.noArtifacts, in(modeJoin, "no-artifacts"), false, "skip the checkpoint-artifact cache and derive every golden reference locally")
+	fs.StringVar(&c.profileDir, in(modeProfile, "profile"), "", "run each workload's fault-free golden reference under the liveness profiler and write one versioned .mbup artifact per workload into this directory (runs no injections)")
+	fs.IntVar(&c.windows, in(modeProfile, "windows"), 64, "occupancy sampling windows per profile (1-4096)")
+	fs.Var(&c.forensics, in(modeGrid, "forensics"), "track every injected bit's fate (fast: component probes; full: + lockstep shadow-machine divergence, ~2x cost)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "Usage of gefin (modes: %v); each flag ends with the modes that accept it:\n", modeAny)
+		fs.VisitAll(func(f *flag.Flag) { f.Usage += " [" + accepts[f.Name].String() + "]" })
+		fs.PrintDefaults()
+	}
+	return fs, accepts
+}
+
+// parseArgs parses the command line, derives the mode from the mode flags,
+// and rejects every flag set explicitly that the mode does not use. It
+// returns nil and the exit code when the command line is unusable.
+func parseArgs(args []string, stderr io.Writer) (*config, int) {
+	c := &config{}
+	fs, accepts := newFlags(c, stderr)
+	if err := fs.Parse(args); err != nil {
+		return nil, 2
+	}
+	c.mode = modeLocal
+	selectedBy := ""
+	for _, d := range modes {
+		if f := fs.Lookup(d.name); f == nil || f.Value.String() == "" {
+			continue
+		}
+		if selectedBy != "" {
+			fmt.Fprintf(stderr, "-%s and -%s are mutually exclusive: each selects its own mode\n", selectedBy, d.name)
+			return nil, 2
+		}
+		selectedBy, c.mode = d.name, d.m
+	}
+	if c.mode == modeServe && c.serviceDir != "" {
+		c.mode = modeService
+	}
+	var unused string
+	fs.Visit(func(f *flag.Flag) {
+		if unused == "" && accepts[f.Name]&c.mode == 0 {
+			unused = f.Name
+		}
+	})
+	if unused != "" {
+		for _, d := range modes {
+			if d.m == c.mode {
+				fmt.Fprintf(stderr, "-%s is not used in %s mode: %s\n", unused, d.name, d.reason)
+			}
+		}
+		return nil, 2
+	}
+	return c, 0
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -94,138 +288,41 @@ func main() {
 // run is the whole CLI behind an exit code, so tests can drive it
 // in-process with fake arg lists and capture both streams.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("gefin", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		workload   = fs.String("workload", "", "workload name, or comma-separated list with -all (empty with -all means every workload)")
-		comp       = fs.String("comp", "", "component: L1D, L1I, L2, RegFile, DTLB, ITLB; comma-separated list with -all (empty with -all means every component)")
-		faults     = fs.Int("faults", 1, "fault cardinality 1-3 (ignored with -all: all three run)")
-		samples    = fs.Int("samples", 100, "injections per cell")
-		seed       = fs.Uint64("seed", 1, "campaign seed")
-		all        = fs.Bool("all", false, "run the full component x workload x cardinality grid")
-		outPath    = fs.String("out", "", "write results JSON to this file (atomically, after every completed cell)")
-		resume     = fs.Bool("resume", false, "load an existing -out file and run only the cells it does not already cover")
-		parallel   = fs.Int("parallel", 0, "cells dispatched concurrently (0 = GOMAXPROCS; sample workers share the cores)")
-		quiet      = fs.Bool("q", false, "suppress per-cell progress")
-		nockpt     = fs.Bool("nockpt", false, "replay every run from cycle 0 instead of fast-forwarding from golden checkpoints")
-		nodelta    = fs.Bool("nodelta", false, "build and fully restore a fresh machine per sample instead of delta-restoring one reused machine per worker (A/B verification knob)")
-		ckpts      = fs.Int("checkpoints", workloads.CheckpointCount, "golden checkpoints per workload (K)")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile after the campaign to this file")
-		tracePath  = fs.String("trace", "", "write a JSONL trace (one record per injection sample) to this file, flushed per cell")
-		metricsOn  = fs.String("metrics-addr", "", "serve live campaign metrics on host:port (/metrics Prometheus text, /healthz, /debug/vars expvar, /debug/pprof)")
-		status     = fs.Duration("status", 0, "print a periodic campaign summary to stderr at this interval (works with -q; 0 disables)")
-		eventsPath = fs.String("events", "", "append the campaign event log (JSONL, one event per line) to this file; with -resume an existing log is continued, sequence numbers stay strictly monotonic")
-		watchURL   = fs.String("watch", "", "observe a running -serve at host:port: stream its campaign event log and render a live fleet dashboard (takes no grid flags)")
-		serveAddr  = fs.String("serve", "", "coordinate a distributed campaign: run the campaign service on host:port and lease the grid's cells to -join workers instead of running them in-process (see -service-dir)")
-		joinAddr   = fs.String("join", "", "work for a -serve at host:port: lease cells, run them, submit results (takes no grid flags)")
-		serviceDir = fs.String("service-dir", "", "with -serve: run the durable multi-campaign service instead of serving the grid flags as one campaign, keeping its journal, event log and per-campaign results files in this directory (campaigns arrive via POST /campaigns; grid flags are rejected)")
-		queueDepth = fs.Int("queue-depth", 64, "service: campaigns allowed to wait in the queue before submissions bounce with 429")
-		maxActive  = fs.Int("max-active", 4, "service: campaigns run concurrently over the shared worker fleet")
-		tenantCamp = fs.Int("tenant-campaigns", 8, "service: live campaigns allowed per tenant")
-		tenantCell = fs.Int("tenant-cells", 4096, "service: live cells allowed per tenant across its campaigns")
-		submitAddr = fs.String("submit", "", "submit the grid flags as one campaign to the service at host:port and print its id (see -tenant/-name/-campaign-out; takes the same grid flags as a local run)")
-		cmpgnsAddr = fs.String("campaigns", "", "query the service at host:port: list campaigns, or one campaign's status with -campaign, or transition it with -do")
-		campaignID = fs.String("campaign", "", "campaign id for -campaigns status and -do")
-		doAction   = fs.String("do", "", "with -campaigns and -campaign: pause, resume or cancel")
-		tenantName = fs.String("tenant", "", "with -submit: tenant identity for admission quotas (default \"default\")")
-		cmpgnName  = fs.String("name", "", "with -submit: idempotency name — resubmitting while a campaign of this name is live returns it instead of queuing a duplicate")
-		cmpgnOut   = fs.String("campaign-out", "", "with -submit: wait for the campaign to finish and write its results file here (byte-identical to the service's durable copy)")
-		workerID   = fs.String("worker-id", "", "worker identity reported to the service (default host:pid)")
-		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "serve: a worker silent this long loses its lease and the cell is reassigned")
-		retries    = fs.Int("retries", 5, "serve: reassignments allowed per cell before the campaign fails naming it")
-		wallTO     = fs.Duration("wall-timeout", 0, "per-sample wall-clock budget; a sample exceeding it is recorded as a timeout (0 = no watchdog)")
-		cacheDir   = fs.String("cache-dir", defaultCacheDir(), "worker: disk cache for checkpoint artifacts fetched from the service (empty = no disk cache)")
-		noArtifact = fs.Bool("no-artifacts", false, "worker: skip the checkpoint-artifact cache and derive every golden reference locally")
-		profileDir = fs.String("profile", "", "profile mode: run each workload's fault-free golden reference under the liveness profiler and write one versioned .mbup artifact per workload into this directory (takes -workload and -windows; runs no injections)")
-		windows    = fs.Int("windows", 64, "profile mode: occupancy sampling windows per profile (1-4096)")
-	)
-	var fmode forensicsFlag
-	fs.Var(&fmode, "forensics", "track every injected bit's fate (fast: component probes; full: + lockstep shadow-machine divergence, ~2x cost)")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	c, code := parseArgs(args, stderr)
+	if c == nil {
+		return code
 	}
-	workloads.CheckpointCount = *ckpts
+	workloads.CheckpointCount = c.checkpoints
 
-	// Watch mode is a pure observer: it connects to a coordinator's event
+	// Watch mode is a pure observer: it connects to a service's event
 	// stream and renders, running no cells and owning no results.
-	if *watchURL != "" {
-		if *serveAddr != "" || *joinAddr != "" {
-			fmt.Fprintln(stderr, "-watch observes a campaign from outside: drop -serve/-join")
-			return 2
-		}
-		return runWatch(stdout, stderr, *watchURL)
+	if c.mode == modeWatch {
+		return runWatch(stdout, stderr, c.watchURL)
 	}
 
-	// Profile mode observes golden runs and writes artifacts; it neither
-	// runs injections nor talks to a fleet, so the distributed-role flags
-	// are contradictions, not options.
-	profileMode := *profileDir != ""
-	if profileMode {
-		switch {
-		case *serveAddr != "" || *joinAddr != "":
-			fmt.Fprintln(stderr, "-profile observes golden runs locally: drop -serve/-join")
-			return 2
-		case *outPath != "" || *resume:
-			fmt.Fprintln(stderr, "-profile writes .mbup artifacts into its directory, not a results file: drop -out/-resume")
-			return 2
-		}
-	}
-
-	// Worker mode needs no grid flags: the coordinator's leases carry the
-	// specs. Validate before buildSpecs so `gefin -join host:port` alone is
-	// a complete invocation.
-	joinMode := *joinAddr != ""
-	if joinMode {
-		switch {
-		case *serveAddr != "":
-			fmt.Fprintln(stderr, "-join and -serve are mutually exclusive: a process is a worker or the service, not both")
-			return 2
-		case *all, *outPath != "", *resume:
-			fmt.Fprintln(stderr, "-join takes its grid from the coordinator and submits results back to it: drop -all/-out/-resume (they belong on the -serve side)")
-			return 2
-		}
-	}
-
-	// Campaign-service roles. -submit and -campaigns are clients of a
-	// service; -serve -service-dir IS the service. All are exclusive with
-	// the single-campaign roles.
-	submitMode := *submitAddr != ""
-	listMode := *cmpgnsAddr != ""
-	serviceMode := *serveAddr != "" && *serviceDir != ""
-	switch {
-	case *serviceDir != "" && *serveAddr == "":
-		fmt.Fprintln(stderr, "-service-dir is the service's state directory: it needs -serve for the listen address")
-		return 2
-	case (submitMode || listMode) && (*serveAddr != "" || joinMode || submitMode && listMode):
-		fmt.Fprintln(stderr, "-submit and -campaigns talk to a campaign service from outside: use them alone, without -serve/-join or each other")
-		return 2
-	case serviceMode && (*all || *outPath != "" || *resume || *workload != "" || *comp != ""):
-		fmt.Fprintln(stderr, "the campaign service takes its grids from POST /campaigns, not flags: drop -all/-workload/-comp/-out/-resume")
-		return 2
-	case *doAction != "" && (*campaignID == "" || !listMode):
+	if c.doAction != "" && c.campaignID == "" {
 		fmt.Fprintln(stderr, "-do needs -campaigns (the service address) and -campaign (the id to transition)")
 		return 2
 	}
 	// Config that cannot work fails before any listener opens: a
 	// non-positive lease TTL would make every lease expire instantly (or
 	// never), and negative budgets/quotas are contradictions, not choices.
-	if *serveAddr != "" {
-		if *leaseTTL <= 0 {
+	if c.mode == modeServe || c.mode == modeService {
+		if c.leaseTTL <= 0 {
 			fmt.Fprintln(stderr, "-lease-ttl must be positive: leases that expire instantly reassign every cell forever")
 			return 2
 		}
-		if *retries < 0 {
+		if c.retries < 0 {
 			fmt.Fprintln(stderr, "-retries must be >= 0")
 			return 2
 		}
 	}
-	if serviceMode {
+	if c.mode == modeService {
 		for _, bad := range []struct {
 			name string
 			v    int
-		}{{"-queue-depth", *queueDepth}, {"-max-active", *maxActive},
-			{"-tenant-campaigns", *tenantCamp}, {"-tenant-cells", *tenantCell}} {
+		}{{"-queue-depth", c.queueDepth}, {"-max-active", c.maxActive},
+			{"-tenant-campaigns", c.tenantCampaigns}, {"-tenant-cells", c.tenantCells}} {
 			if bad.v <= 0 {
 				fmt.Fprintf(stderr, "%s must be positive (got %d)\n", bad.name, bad.v)
 				return 2
@@ -234,20 +331,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var specs []core.Spec
-	if !joinMode && !profileMode && !listMode && !serviceMode {
-		var code int
-		specs, code = buildSpecs(stderr, *all, *comp, *workload, *faults, *samples, *seed, *nockpt, *nodelta, fmode.mode, *wallTO)
-		if code != 0 {
+	if c.mode&modeGrid != 0 {
+		if specs, code = buildSpecs(stderr, c); code != 0 {
 			return code
 		}
 	}
-	if *resume && *outPath == "" {
+	if c.resume && c.outPath == "" {
 		fmt.Fprintln(stderr, "-resume needs -out: resuming loads and extends the results file")
 		return 2
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -265,20 +360,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Resume: skip every cell the existing results file already covers.
 	rs := core.NewResultSet()
 	pending := specs
-	if *resume {
-		loaded, err := core.LoadResultSet(*outPath)
+	if c.resume {
+		loaded, err := core.LoadResultSet(c.outPath)
 		switch {
 		case err == nil:
 			rs = loaded
 			pending = rs.Pending(specs)
 			fmt.Fprintf(stderr, "resume: %d of %d cells already complete in %s\n",
-				len(specs)-len(pending), len(specs), *outPath)
+				len(specs)-len(pending), len(specs), c.outPath)
 			if len(pending) == 0 {
 				fmt.Fprintln(stderr, "resume: nothing to do")
 				return 0
 			}
 		case os.IsNotExist(err):
-			fmt.Fprintf(stderr, "resume: %s does not exist yet, starting fresh\n", *outPath)
+			fmt.Fprintf(stderr, "resume: %s does not exist yet, starting fresh\n", c.outPath)
 		default:
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -295,11 +390,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// view into a fleet of remote workers — and so does a worker, whose
 	// registry snapshots ride its heartbeats into the service's /metrics.
 	var tel *telemetry.Campaign
-	if *tracePath != "" || *metricsOn != "" || *status > 0 || *eventsPath != "" ||
-		fmode.mode != forensics.ModeOff || *serveAddr != "" || joinMode {
+	if c.tracePath != "" || c.metricsAddr != "" || c.status > 0 || c.eventsPath != "" ||
+		c.forensics.mode != forensics.ModeOff || c.mode&(modeServe|modeService|modeJoin) != 0 {
 		var tracer *telemetry.Tracer
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
+		if c.tracePath != "" {
+			f, err := os.Create(c.tracePath)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
@@ -315,17 +410,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// restarting the service is resuming, never starting over. A one-shot
 	// -serve without -events still keeps an in-memory log so /dispatch/events and
 	// -watch work.
-	if *eventsPath != "" || serviceMode {
-		path := *eventsPath
+	if c.eventsPath != "" || c.mode == modeService {
+		path := c.eventsPath
 		if path == "" {
-			path = filepath.Join(*serviceDir, "events.jsonl")
+			path = filepath.Join(c.serviceDir, "events.jsonl")
 		}
-		if serviceMode {
-			if err := os.MkdirAll(*serviceDir, 0o755); err != nil {
+		if c.mode == modeService {
+			if err := os.MkdirAll(c.serviceDir, 0o755); err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
-		} else if !*resume {
+		} else if !c.resume {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 				fmt.Fprintln(stderr, err)
 				return 1
@@ -338,7 +433,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer evlog.Close()
 		tel.Events = evlog
-	} else if *serveAddr != "" {
+	} else if c.mode == modeServe {
 		tel.Events = telemetry.NewEventLog(nil, 0)
 	}
 	// Count every golden reference this process actually derives by running
@@ -351,10 +446,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// health feeds /healthz on the metrics port: the process role plus a
 	// cheap campaign digest.
 	role := "local"
-	switch {
-	case joinMode:
+	switch c.mode {
+	case modeJoin:
 		role = "worker"
-	case *serveAddr != "":
+	case modeServe, modeService:
 		role = "service"
 	}
 	health := func() telemetry.Health {
@@ -377,8 +472,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return h
 	}
-	if *metricsOn != "" {
-		ln, err := net.Listen("tcp", *metricsOn)
+	if c.metricsAddr != "" {
+		ln, err := net.Listen("tcp", c.metricsAddr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -399,34 +494,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if *status > 0 {
+	if c.status > 0 {
 		statusDone := make(chan struct{})
 		defer close(statusDone)
-		go statusLoop(stderr, tel, *status, start, statusDone)
+		go statusLoop(stderr, tel, c.status, start, statusDone)
 	}
-	if profileMode {
-		return runProfile(ctx, stdout, stderr, *profileDir, *workload, *windows, *quiet, tel, start)
-	}
-	if joinMode {
-		dir := *cacheDir
-		if *noArtifact {
+	switch c.mode {
+	case modeProfile:
+		return runProfile(ctx, stdout, stderr, c.profileDir, c.workload, c.windows, c.quiet, tel, start)
+	case modeJoin:
+		dir := c.cacheDir
+		if c.noArtifacts {
 			dir = ""
 		}
-		return runWorker(ctx, stdout, stderr, *joinAddr, *workerID, *quiet, tel, start,
-			!*noArtifact, dir)
+		return runWorker(ctx, stdout, stderr, c.joinAddr, c.workerID, c.quiet, tel, start,
+			!c.noArtifacts, dir)
+	case modeSubmit:
+		return runSubmit(ctx, stdout, stderr, c.submitAddr, specs,
+			c.tenant, c.name, c.retries, c.campaignOut, c.quiet)
+	case modeCampaigns:
+		return runCampaigns(ctx, stdout, stderr, c.campaignsAddr, c.campaignID, c.doAction)
 	}
-	if submitMode {
-		return runSubmit(ctx, stdout, stderr, *submitAddr, specs,
-			*tenantName, *cmpgnName, *retries, *cmpgnOut, *quiet)
-	}
-	if listMode {
-		return runCampaigns(ctx, stdout, stderr, *cmpgnsAddr, *campaignID, *doAction)
-	}
-	opts := dispatch.ServiceOptions{LeaseTTL: *leaseTTL, MaxRetries: *retries, Tel: tel}
-	if serviceMode {
-		opts.QueueDepth, opts.MaxActive = *queueDepth, *maxActive
-		opts.TenantCampaigns, opts.TenantCells = *tenantCamp, *tenantCell
-		err := runService(ctx, stderr, *serveAddr, *serviceDir, opts, start, nil, nil)
+	opts := dispatch.ServiceOptions{LeaseTTL: c.leaseTTL, MaxRetries: c.retries, Tel: tel}
+	if c.mode == modeService {
+		opts.QueueDepth, opts.MaxActive = c.queueDepth, c.maxActive
+		opts.TenantCampaigns, opts.TenantCells = c.tenantCampaigns, c.tenantCells
+		err := runService(ctx, stderr, c.serveAddr, c.serviceDir, opts, start, nil, nil)
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(stderr, "campaign service stopped; state is durable — restart with the same -service-dir to resume")
 			return 130
@@ -445,18 +538,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	onCell := func(i int, res *core.Result) {
 		rs.Add(res)
 		done++
-		if *outPath != "" {
-			if err := rs.Save(*outPath); err != nil && flushErr == nil {
+		if c.outPath != "" {
+			if err := rs.Save(c.outPath); err != nil && flushErr == nil {
 				flushErr = err
 				cancel()
 			}
 		}
-		if !*quiet {
+		if !c.quiet {
 			fmt.Fprintln(stdout, cellLine(done, len(pending), pending[i], res, start))
 		}
 	}
 	var err error
-	if *serveAddr != "" {
+	if c.mode == modeServe {
 		// Publish the grid shape so -status and /healthz show fleet-wide
 		// totals; the service's coordinator emits campaign_done.
 		totalSamples := 0
@@ -464,8 +557,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			totalSamples += s.Samples
 		}
 		tel.SetGridShape(len(pending), totalSamples, 0, 0)
-		err = runService(ctx, stderr, *serveAddr, "", opts, start, pending, onCell)
-	} else if err = core.RunGridWithTelemetry(ctx, pending, *parallel, onCell, tel); err == nil && flushErr == nil {
+		err = runService(ctx, stderr, c.serveAddr, "", opts, start, pending, onCell)
+	} else if err = core.RunGridWithTelemetry(ctx, pending, c.parallel, onCell, tel); err == nil && flushErr == nil {
 		tel.Emit(telemetry.Event{Type: telemetry.EventCampaignDone, Cell: -1, Cells: done})
 	}
 	var term *dispatch.TerminalError
@@ -475,8 +568,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	case errors.Is(err, context.Canceled):
 		fmt.Fprintf(stderr, "interrupted: %d/%d cells complete", done, len(pending))
-		if *outPath != "" && done > 0 {
-			fmt.Fprintf(stderr, ", partial results saved to %s (finish with -resume)", *outPath)
+		if c.outPath != "" && done > 0 {
+			fmt.Fprintf(stderr, ", partial results saved to %s (finish with -resume)", c.outPath)
 		}
 		fmt.Fprintln(stderr)
 		return 130
@@ -486,31 +579,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	case err != nil:
 		fmt.Fprintf(stderr, "%v (%d/%d cells complete", err, done, len(pending))
-		if *outPath != "" && done > 0 {
-			fmt.Fprintf(stderr, ", saved to %s; fix and re-run with -resume", *outPath)
+		if c.outPath != "" && done > 0 {
+			fmt.Fprintf(stderr, ", saved to %s; fix and re-run with -resume", c.outPath)
 		}
 		fmt.Fprintln(stderr, ")")
 		return 1
 	}
-	if !*quiet {
+	if !c.quiet {
 		fmt.Fprintf(stdout, "campaign complete: %d cells in %v\n", done, time.Since(start).Round(time.Second))
 	}
-	if fmode.mode != forensics.ModeOff && !*quiet {
+	if c.forensics.mode != forensics.ModeOff && !c.quiet {
 		fmt.Fprintln(stdout, fateLine(tel.Summarize()))
 	}
-	if *outPath != "" {
-		fmt.Fprintf(stderr, "wrote %s\n", *outPath)
+	if c.outPath != "" {
+		fmt.Fprintf(stderr, "wrote %s\n", c.outPath)
 	}
 	if tel.Tracing() {
 		if err := tel.Tracer.Err(); err != nil {
 			fmt.Fprintf(stderr, "trace: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "wrote %s\n", *tracePath)
+		fmt.Fprintf(stderr, "wrote %s\n", c.tracePath)
 	}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
+	if c.memProfile != "" {
+		f, err := os.Create(c.memProfile)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -521,7 +614,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		f.Close()
-		fmt.Fprintf(stderr, "wrote %s\n", *memProfile)
+		fmt.Fprintf(stderr, "wrote %s\n", c.memProfile)
 	}
 	return 0
 }
@@ -540,16 +633,14 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer,
 		}
 		id = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
+	addr = serviceURL(addr)
 	var arts *dispatch.ArtifactCache
 	if useArtifacts {
 		arts = &dispatch.ArtifactCache{Dir: cacheDir, URL: addr, Tel: tel}
 	}
 	done := 0
 	w := &dispatch.Worker{
-		ID: id, URL: addr, Tel: tel, Artifacts: arts,
+		ID: id, Client: dispatch.Client{URL: addr}, Tel: tel, Artifacts: arts,
 		OnCell: func(cell int, spec core.Spec, res *core.Result) {
 			done++
 			if !quiet {
@@ -570,7 +661,7 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer,
 		// The coordinator is healthy and said no — wrong service, unknown
 		// campaign, rejected identity. Retrying cannot fix a permanent
 		// rejection, so this is misconfiguration (exit 2), not a runtime
-		// failure, and the worker exits now instead of burning MaxDowntime.
+		// failure, and the worker exits now instead of burning MaxWait.
 		fmt.Fprintln(stderr, err)
 		return 2
 	case err != nil:
@@ -705,25 +796,29 @@ func defaultCacheDir() string {
 	return filepath.Join(base, "mbusim", "artifacts")
 }
 
-// buildSpecs expands the flag set into the campaign grid, validating
+// buildSpecs expands the grid flags into the campaign grid, validating
 // component and workload lists up front — a typo must fail before the
-// first golden run is built, not hours into the grid.
-func buildSpecs(stderr io.Writer, all bool, comp, workload string, faults, samples int, seed uint64, nockpt, nodelta bool, fmode forensics.Mode, wallTO time.Duration) ([]core.Spec, int) {
+// first golden run is built, not hours into the grid. Every cell copies one
+// template spec, so a knob reaches single cells and grids alike.
+func buildSpecs(stderr io.Writer, c *config) ([]core.Spec, int) {
+	cell := core.Spec{Samples: c.samples, Seed: c.seed,
+		NoCheckpoints: c.nockpt, NoDelta: c.nodelta, Forensics: c.forensics.mode,
+		WallTimeout: c.wallTimeout}
 	var specs []core.Spec
-	if all {
+	if c.all {
 		comps := core.Components()
-		if comp != "" {
-			comps = strings.Split(comp, ",")
-			for _, c := range comps {
-				if err := core.ValidComponent(c); err != nil {
+		if c.comp != "" {
+			comps = strings.Split(c.comp, ",")
+			for _, comp := range comps {
+				if err := core.ValidComponent(comp); err != nil {
 					fmt.Fprintln(stderr, err)
 					return nil, 2
 				}
 			}
 		}
 		names := workloads.Names()
-		if workload != "" {
-			names = strings.Split(workload, ",")
+		if c.workload != "" {
+			names = strings.Split(c.workload, ",")
 			for _, w := range names {
 				if err := core.ValidWorkload(w); err != nil {
 					fmt.Fprintln(stderr, err)
@@ -731,29 +826,21 @@ func buildSpecs(stderr io.Writer, all bool, comp, workload string, faults, sampl
 				}
 			}
 		}
-		for _, c := range comps {
+		for _, comp := range comps {
 			for _, w := range names {
 				for k := 1; k <= 3; k++ {
-					specs = append(specs, core.Spec{
-						Workload: w, Component: c, Faults: k,
-						Samples: samples, Seed: seed,
-						NoCheckpoints: nockpt, Forensics: fmode,
-						WallTimeout: wallTO,
-					})
+					cell.Workload, cell.Component, cell.Faults = w, comp, k
+					specs = append(specs, cell)
 				}
 			}
 		}
 	} else {
-		if workload == "" || comp == "" {
+		if c.workload == "" || c.comp == "" {
 			fmt.Fprintln(stderr, "need -workload and -comp (or -all)")
 			return nil, 2
 		}
-		specs = append(specs, core.Spec{
-			Workload: workload, Component: comp, Faults: faults,
-			Samples: samples, Seed: seed,
-			NoCheckpoints: nockpt, NoDelta: nodelta, Forensics: fmode,
-			WallTimeout: wallTO,
-		})
+		cell.Workload, cell.Component, cell.Faults = c.workload, c.comp, c.faults
+		specs = append(specs, cell)
 	}
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {

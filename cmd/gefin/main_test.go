@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -294,6 +296,104 @@ func TestJoinServeFlagConflicts(t *testing.T) {
 		code, _, stderr := runGefin(t, append([]string{"-join", "localhost:1"}, extra...)...)
 		if code != 2 || !strings.Contains(stderr, "-serve side") {
 			t.Fatalf("-join %v: exit=%d stderr=%s", extra, code, stderr)
+		}
+	}
+}
+
+// TestEveryFlagDeclaresItsModes: a flag defined without naming the modes
+// that accept it would be rejected in every mode.
+func TestEveryFlagDeclaresItsModes(t *testing.T) {
+	fs, accepts := newFlags(&config{}, io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		if accepts[f.Name] == 0 {
+			t.Errorf("-%s declares no modes", f.Name)
+		}
+	})
+	// -h prints the same declaration.
+	if _, _, stderr := runGefin(t, "-h"); !strings.Contains(stderr, "[local, serve, submit, profile]") {
+		t.Errorf("-h does not list -workload's modes:\n%s", stderr)
+	}
+}
+
+// TestUnusedFlagsRejected: a flag the mode does not use is a configuration
+// error naming the flag and the mode, not a silently ignored option.
+func TestUnusedFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-serve", ":0", "-service-dir", "d", "-samples", "5"}, "-samples is not used in service mode"},
+		{[]string{"-campaigns", "h", "-all"}, "-all is not used in campaigns mode"},
+		{[]string{"-join", "h", "-nockpt"}, "-nockpt is not used in join mode"},
+		{[]string{"-watch", "h", "-submit", "h"}, "-submit and -watch are mutually exclusive"},
+		{[]string{"-profile", "d", "-comp", "L1D"}, "-comp is not used in profile mode"},
+	} {
+		code, _, stderr := runGefin(t, tc.args...)
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit=%d stderr=%q, want 2 with %q", tc.args, code, stderr, tc.want)
+		}
+	}
+}
+
+// TestRealInvocationsResolve parses the command lines the benchmark, CI and
+// README run, and checks each selects the intended mode with no rejection.
+func TestRealInvocationsResolve(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want mode
+	}{
+		// perfbench's fleet: the service and its worker.
+		{"-serve 127.0.0.1:0 -service-dir svc -q", modeService},
+		{"-join 127.0.0.1:9331 -worker-id bench -cache-dir cache -metrics-addr 127.0.0.1:0 -q", modeJoin},
+		// CI's chaos job.
+		{"-all -comp L1D -workload CRC32 -samples 50 -q -out /tmp/ref.json", modeLocal},
+		{"-serve 127.0.0.1:9331 -service-dir /tmp/svc -lease-ttl 2s", modeService},
+		{"-all -comp L1D -workload CRC32 -samples 50 -q -submit 127.0.0.1:9331 -tenant ci -name chaos", modeSubmit},
+		{"-join 127.0.0.1:9331 -worker-id victim -cache-dir /tmp/artcache", modeJoin},
+		{"-join 127.0.0.1:9331 -worker-id survivor -cache-dir /tmp/artcache -metrics-addr 127.0.0.1:9322", modeJoin},
+		{"-all -comp L1D -workload CRC32 -samples 50 -q -submit 127.0.0.1:9331 -tenant ci -name chaos -campaign-out /tmp/dist.json", modeSubmit},
+		// CI's smoke (observability) job.
+		{"-all -comp L1D -workload CRC32 -samples 4 -out /tmp/r.json -trace /tmp/trace.jsonl -metrics-addr 127.0.0.1:9321 -status 2s", modeLocal},
+		{"-all -comp L1D -workload CRC32 -samples 4 -out /tmp/r.json -resume", modeLocal},
+		{"-all -comp L1D -workload CRC32 -samples 4 -forensics -trace /tmp/ftrace.jsonl", modeLocal},
+		{"-profile /tmp/profiles -workload CRC32 -windows 16", modeProfile},
+		// README.
+		{"-workload CRC32 -comp L1D -faults 2 -samples 200", modeLocal},
+		{"-all -samples 120 -out results.json", modeLocal},
+		{"-all -samples 1000 -out results.json -serve :9321", modeServe},
+		{"-join service-host:9321", modeJoin},
+		{"-serve :9321 -service-dir /var/lib/mbusim", modeService},
+		{"-all -comp L1D -samples 1000 -submit host:9321 -tenant ci -name nightly -campaign-out results.json", modeSubmit},
+		{"-campaigns host:9321", modeCampaigns},
+		{"-campaigns host:9321 -campaign c000000 -do pause", modeCampaigns},
+		{"-all -samples 120 -out out/results.json -trace out/trace.jsonl -metrics-addr 127.0.0.1:9100 -status 30s", modeLocal},
+		{"-watch http://service-host:9321", modeWatch},
+		{"-profile out/profiles -workload sha,stringSearch -windows 64", modeProfile},
+	} {
+		var stderr strings.Builder
+		c, code := parseArgs(strings.Fields(tc.line), &stderr)
+		if c == nil || c.mode != tc.want {
+			t.Errorf("gefin %s: exit=%d stderr=%q, want %v mode", tc.line, code, stderr.String(), tc.want)
+		}
+	}
+}
+
+// TestGridCarriesNoDelta: -nodelta reaches every cell of an -all grid, not
+// only a single cell.
+func TestGridCarriesNoDelta(t *testing.T) {
+	for _, line := range []string{
+		"-all -comp L1D -workload CRC32 -samples 1 -nodelta",
+		"-comp L1D -workload CRC32 -samples 1 -nodelta",
+	} {
+		c, _ := parseArgs(strings.Fields(line), io.Discard)
+		specs, code := buildSpecs(io.Discard, c)
+		if code != 0 || len(specs) == 0 {
+			t.Fatalf("%s: code=%d, %d specs", line, code, len(specs))
+		}
+		for _, s := range specs {
+			if !s.NoDelta {
+				t.Errorf("%s: spec %+v lost NoDelta", line, s)
+			}
 		}
 	}
 }

@@ -23,11 +23,11 @@ func TestServiceFlagValidation(t *testing.T) {
 		{"service-dir without serve", []string{"-service-dir", "d"}, "needs -serve"},
 		{"service with grid flags", []string{"-serve", ":0", "-service-dir", "d", "-all"}, "POST /campaigns, not flags"},
 		{"service with out", []string{"-serve", ":0", "-service-dir", "d", "-out", "r.json"}, "POST /campaigns, not flags"},
-		{"submit with serve", []string{"-submit", "localhost:1", "-serve", ":0"}, "use them alone"},
-		{"submit with campaigns", []string{"-submit", "localhost:1", "-campaigns", "localhost:1"}, "use them alone"},
-		{"campaigns with join", []string{"-campaigns", "localhost:1", "-join", "localhost:1"}, "use them alone"},
+		{"submit with serve", []string{"-submit", "localhost:1", "-serve", ":0"}, "-serve and -submit are mutually exclusive"},
+		{"submit with campaigns", []string{"-submit", "localhost:1", "-campaigns", "localhost:1"}, "-submit and -campaigns are mutually exclusive"},
+		{"campaigns with join", []string{"-campaigns", "localhost:1", "-join", "localhost:1"}, "-join and -campaigns are mutually exclusive"},
 		{"do without campaign id", []string{"-campaigns", "localhost:1", "-do", "pause"}, "-do needs"},
-		{"do without campaigns", []string{"-campaign", "c000000", "-do", "pause"}, "-do needs"},
+		{"do without campaigns", []string{"-campaign", "c000000", "-do", "pause"}, "-campaign is not used in local mode"},
 		{"zero lease ttl", []string{"-serve", ":0", "-service-dir", "d", "-lease-ttl", "0s"}, "-lease-ttl must be positive"},
 		{"negative lease ttl", append(tinyGrid(), "-serve", ":0", "-lease-ttl", "-1s"), "-lease-ttl must be positive"},
 		{"negative retries", append(tinyGrid(), "-serve", ":0", "-retries", "-1"), "-retries must be >= 0"},
@@ -111,8 +111,8 @@ func TestServiceSubmitWaitMatchesLocal(t *testing.T) {
 	defer wcancel()
 	workerDone := make(chan int, 1)
 	go func() {
-		w := &dispatch.Worker{ID: "w1", URL: "http://" + addr,
-			Backoff: dispatch.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}
+		w := &dispatch.Worker{ID: "w1", Client: dispatch.Client{URL: "http://" + addr,
+			Backoff: dispatch.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}}
 		w.Run(wctx)
 		workerDone <- 1
 	}()

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -186,9 +184,7 @@ func renderWatch(m *watchModel) string {
 // unreachable (a finished coordinator closing its port while we watch a
 // complete campaign is normal exit, not an error).
 func runWatch(stdout, stderr io.Writer, url string) int {
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
+	url = serviceURL(url)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -208,8 +204,10 @@ func runWatch(stdout, stderr io.Writer, url string) int {
 				fmt.Fprintf(stderr, "watch: coordinator unreachable: %v\n", err)
 				return 1
 			}
-			if !sleepCtxWatch(ctx, time.Second) {
+			select {
+			case <-ctx.Done():
 				return 130
+			case <-time.After(time.Second):
 			}
 			continue
 		}
@@ -242,31 +240,11 @@ func fetchEvents(ctx context.Context, client *http.Client, url string, since uin
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("watch: %s: HTTP %d", dispatch.PathEvents, resp.StatusCode)
 	}
-	var evs []telemetry.Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev telemetry.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
+	// ReadEvents skips a torn final line; the cursor stays before it, so
+	// the next poll fetches that event again.
+	el, err := telemetry.ReadEvents(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	return evs, sc.Err()
-}
-
-// sleepCtxWatch pauses for d, returning false if ctx was cancelled first.
-func sleepCtxWatch(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	return el.Events, nil
 }

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -26,7 +28,7 @@ type Client struct {
 	// Backoff shapes retry delays; zero value = defaults.
 	Backoff Backoff
 	// MaxWait bounds total retrying per call (backpressure included).
-	// Default 2 minutes, same as a worker's downtime budget.
+	// Default 2 minutes.
 	MaxWait time.Duration
 }
 
@@ -37,11 +39,14 @@ func (c *Client) client() *http.Client {
 	return &http.Client{Timeout: 10 * time.Second}
 }
 
+// defaultMaxWait is how long a call may keep retrying by default.
+const defaultMaxWait = 2 * time.Minute
+
 func (c *Client) maxWait() time.Duration {
 	if c.MaxWait > 0 {
 		return c.MaxWait
 	}
-	return defaultMaxDowntime
+	return defaultMaxWait
 }
 
 // SubmitCampaign submits a grid and returns the admitted (or, for a named
@@ -151,4 +156,47 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any)
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// retryAfterError is a 429 from the server: not an outage, but an explicit
+// "come back later" with the server's suggested pause.
+type retryAfterError struct {
+	path  string
+	after time.Duration
+}
+
+func (e *retryAfterError) Error() string {
+	return fmt.Sprintf("dispatch: %s: HTTP 429, retry after %v", e.path, e.after)
+}
+
+// maxRetryAfter caps how long a server-suggested Retry-After is honored —
+// a misconfigured or adversarial header must not park the client forever.
+const maxRetryAfter = 30 * time.Second
+
+// classifyHTTPError turns a non-200 reply into the right error flavor for
+// the retry loop, consuming (a bounded prefix of) the body for the reason.
+func classifyHTTPError(path string, resp *http.Response) error {
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	if resp.StatusCode == http.StatusTooManyRequests {
+		after := 2 * time.Second
+		if s := resp.Header.Get("Retry-After"); s != "" {
+			if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
+				after = time.Duration(secs) * time.Second
+			}
+		}
+		return &retryAfterError{path: path, after: after}
+	}
+	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+		term := &TerminalError{Path: path, Status: resp.StatusCode,
+			Msg: strings.TrimSpace(string(raw))}
+		var ae APIError
+		if json.Unmarshal(raw, &ae) == nil && ae.Code != "" {
+			term.Code, term.Msg = ae.Code, ae.Error
+		}
+		if term.Msg == "" {
+			term.Msg = http.StatusText(resp.StatusCode)
+		}
+		return term
+	}
+	return fmt.Errorf("dispatch: %s: HTTP %d", path, resp.StatusCode)
 }

@@ -69,8 +69,8 @@ func TestChaosEquivalence(t *testing.T) {
 
 	// The survivor: a real worker that does everything else, including the
 	// victim's cell once its lease expires.
-	w := &Worker{ID: "survivor", URL: srv.URL,
-		Backoff: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}
+	w := &Worker{ID: "survivor", Client: Client{URL: srv.URL,
+		Backoff: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("survivor worker: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestWorkerDrainAbandonsLease(t *testing.T) {
 	_, c, _, srv, _ := serveOneShot(t, ctx, specs, ServiceOptions{LeaseTTL: time.Minute})
 	coord := c.coord
 
-	w := &Worker{ID: "drainer", URL: srv.URL}
+	w := &Worker{ID: "drainer", Client: Client{URL: srv.URL}}
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
 
@@ -160,8 +160,8 @@ func TestWorkerReportsCellFailure(t *testing.T) {
 	c.coord.specs[0].ForceSpanning = true
 	c.coord.mu.Unlock()
 
-	w := &Worker{ID: "w1", URL: srv.URL,
-		Backoff: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}
+	w := &Worker{ID: "w1", Client: Client{URL: srv.URL,
+		Backoff: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("worker should end cleanly on campaign failure, got %v", err)
 	}
@@ -171,13 +171,13 @@ func TestWorkerReportsCellFailure(t *testing.T) {
 }
 
 // TestWorkerGivesUpWhenCoordinatorUnreachable bounds the reconnect loop:
-// with nothing listening, Run fails after MaxDowntime, not forever.
+// with nothing listening, Run fails after MaxWait, not forever.
 func TestWorkerGivesUpWhenCoordinatorUnreachable(t *testing.T) {
-	w := &Worker{ID: "w1", URL: "http://127.0.0.1:1",
-		Backoff:     Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
-		MaxDowntime: 250 * time.Millisecond,
-		Client:      &http.Client{Timeout: 100 * time.Millisecond},
-	}
+	w := &Worker{ID: "w1", Client: Client{URL: "http://127.0.0.1:1",
+		Backoff:    Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
+		MaxWait:    250 * time.Millisecond,
+		HTTPClient: &http.Client{Timeout: 100 * time.Millisecond},
+	}}
 	start := time.Now()
 	err := w.Run(context.Background())
 	if err == nil {

@@ -235,7 +235,7 @@ func TestWorkerFederatesThroughRealRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	_, _, tel, srv, drained := serveOneShot(t, ctx, specs, ServiceOptions{})
-	w := &Worker{ID: "wrk", URL: srv.URL, Tel: telemetry.NewCampaign(nil)}
+	w := &Worker{ID: "wrk", Client: Client{URL: srv.URL}, Tel: telemetry.NewCampaign(nil)}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}

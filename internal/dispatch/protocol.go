@@ -138,7 +138,7 @@ type SubmitReply struct {
 	// CampaignDone is set by a draining (one-shot) service once no
 	// campaign is live: the worker exits without another lease round-trip.
 	// Without it a worker submitting the final cell races the server's
-	// shutdown and burns MaxDowntime discovering a closed port.
+	// shutdown and burns Client.MaxWait discovering a closed port.
 	CampaignDone bool
 }
 
@@ -182,7 +182,7 @@ const (
 // with a reason, not a transient outage. Retrying cannot help (the request
 // itself is wrong: unknown campaign, mismatched spec, malformed
 // submission), so workers and clients fail fast with exit code 2 instead
-// of burning their MaxDowntime budget against a healthy server.
+// of burning their MaxWait budget against a healthy server.
 // Service.Submit reports its refusals with this type too, including the
 // 429s a client turns into a back-off instead.
 type TerminalError struct {

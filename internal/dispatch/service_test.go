@@ -185,7 +185,7 @@ func TestServiceCrashRestartByteIdentity(t *testing.T) {
 	wctx, wcancel := context.WithCancel(ctx)
 	var once sync.Once
 	firstCell := make(chan struct{})
-	w1 := &Worker{ID: "w1", URL: srv1.URL, Backoff: fastBackoff(),
+	w1 := &Worker{ID: "w1", Client: Client{URL: srv1.URL, Backoff: fastBackoff()},
 		OnCell: func(int, core.Spec, *core.Result) { once.Do(func() { close(firstCell) }) }}
 	w1Done := make(chan error, 1)
 	go func() { w1Done <- w1.Run(wctx) }()
@@ -219,7 +219,7 @@ func TestServiceCrashRestartByteIdentity(t *testing.T) {
 
 	w2ctx, w2cancel := context.WithCancel(ctx)
 	defer w2cancel()
-	w2 := &Worker{ID: "w2", URL: srv2.URL, Backoff: fastBackoff()}
+	w2 := &Worker{ID: "w2", Client: Client{URL: srv2.URL, Backoff: fastBackoff()}}
 	go w2.Run(w2ctx)
 	waitState(t, cl2, info.ID, StateDone)
 	w2cancel()
@@ -316,7 +316,7 @@ func TestServiceTwoTenantsSharedFleet(t *testing.T) {
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	for _, id := range []string{"w1", "w2"} {
-		w := &Worker{ID: id, URL: srv.URL, Backoff: fastBackoff()}
+		w := &Worker{ID: id, Client: Client{URL: srv.URL, Backoff: fastBackoff()}}
 		go w.Run(wctx)
 	}
 	waitState(t, cl, infoA.ID, StateDone)
@@ -548,11 +548,11 @@ func TestServiceRoundRobinLeasing(t *testing.T) {
 // it returns immediately instead of burning its downtime budget.
 func TestServiceUnknownCampaignIsTerminal(t *testing.T) {
 	_, _, srv := newTestService(t, t.TempDir(), ServiceOptions{})
-	w := &Worker{ID: "lost", URL: srv.URL, Backoff: fastBackoff(),
-		MaxDowntime: 30 * time.Second}
+	w := &Worker{ID: "lost", Client: Client{URL: srv.URL, Backoff: fastBackoff(),
+		MaxWait: 30 * time.Second}}
 	start := time.Now()
 	var rep HeartbeatReply
-	err := w.post(context.Background(), PathHeartbeat,
+	err := w.Client.do(context.Background(), http.MethodPost, PathHeartbeat,
 		&HeartbeatRequest{Worker: "lost", LeaseID: 1, Campaign: "c999999"}, &rep)
 	var term *TerminalError
 	if !errors.As(err, &term) {
@@ -634,7 +634,7 @@ func TestServiceJournalUnwritableRefusesSubmission(t *testing.T) {
 		t.Fatalf("submit with a dead journal = %d (%+v), want 500", code, apiErr)
 	}
 	// And nothing was admitted: the queue is exactly as durable as it claims.
-	if n := len(svc.Snapshot()) ; n == 0 {
+	if n := len(svc.Snapshot()); n == 0 {
 		t.Fatal("snapshot unavailable")
 	}
 	if svc.Snapshot()["campaigns"] != 0 {

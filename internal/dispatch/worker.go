@@ -1,15 +1,9 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -26,10 +20,10 @@ type Worker struct {
 	// ID is the worker's stable identity (e.g. host:pid); the coordinator
 	// keys heartbeats and the live-worker gauge on it.
 	ID string
-	// URL is the coordinator base URL, e.g. "http://10.0.0.1:9321".
-	URL string
-	// Client is the HTTP client; nil means a default with a 10s timeout.
-	Client *http.Client
+	// Client reaches the service: its URL, transport and retry policy.
+	// Lease and submit retry through it while the service is unreachable,
+	// up to its MaxWait; heartbeat and abandon make one attempt each.
+	Client Client
 	// Tel, when non-nil, records the worker's sample/cell metrics exactly
 	// as a local campaign would.
 	Tel *telemetry.Campaign
@@ -42,11 +36,6 @@ type Worker struct {
 	// inside it fall back to local derivation; nil skips the artifact path
 	// entirely.
 	Artifacts *ArtifactCache
-	// Backoff shapes reconnection delays; zero value = defaults.
-	Backoff Backoff
-	// MaxDowntime is how long the coordinator may stay unreachable before
-	// the worker gives up with an error. Default 2 minutes.
-	MaxDowntime time.Duration
 
 	// delta watches Tel's registry so each heartbeat and submit piggybacks
 	// only the series that changed since the last send. Run initializes it;
@@ -54,36 +43,20 @@ type Worker struct {
 	delta *telemetry.DeltaTracker
 }
 
-const defaultMaxDowntime = 2 * time.Minute
-
 // errCampaignDone flows from runCell to Run when a submit reply reported
 // the campaign over, turning into Run's normal nil return.
 var errCampaignDone = fmt.Errorf("dispatch: campaign done")
 
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
-
-func (w *Worker) maxDowntime() time.Duration {
-	if w.MaxDowntime > 0 {
-		return w.MaxDowntime
-	}
-	return defaultMaxDowntime
-}
-
 // Run leases and executes cells until the coordinator reports the campaign
 // done (returns nil), ctx is cancelled (returns ctx.Err() after abandoning
-// any held lease), or the coordinator stays unreachable past MaxDowntime.
+// any held lease), or the coordinator stays unreachable past Client.MaxWait.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Tel != nil && w.delta == nil {
 		w.delta = telemetry.NewDeltaTracker(w.Tel.Registry)
 	}
 	for {
 		var rep LeaseReply
-		if err := w.post(ctx, PathLease, &LeaseRequest{Worker: w.ID}, &rep); err != nil {
+		if err := w.Client.do(ctx, http.MethodPost, PathLease, &LeaseRequest{Worker: w.ID}, &rep); err != nil {
 			return err
 		}
 		switch rep.Status {
@@ -138,7 +111,7 @@ func (w *Worker) runCell(ctx context.Context, l *LeaseReply) error {
 				// One attempt per beat, no backoff: a missed beat is
 				// absorbed by the lease TTL (3 beats per TTL), and a dead
 				// coordinator is discovered by the next lease/submit.
-				err := w.postOnce(cellCtx, PathHeartbeat,
+				err := w.Client.doOnce(cellCtx, http.MethodPost, PathHeartbeat,
 					&HeartbeatRequest{Worker: w.ID, LeaseID: l.LeaseID,
 						Campaign: l.Campaign, Metrics: w.delta.Delta()}, &rep)
 				if err == nil && rep.Status == StatusExpired {
@@ -171,7 +144,7 @@ func (w *Worker) runCell(ctx context.Context, l *LeaseReply) error {
 		actx, acancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer acancel()
 		var rep AbandonReply
-		_ = w.postOnce(actx, PathAbandon,
+		_ = w.Client.doOnce(actx, http.MethodPost, PathAbandon,
 			&AbandonRequest{Worker: w.ID, LeaseID: l.LeaseID, Campaign: l.Campaign}, &rep)
 		return ctx.Err()
 	case res != nil:
@@ -179,7 +152,7 @@ func (w *Worker) runCell(ctx context.Context, l *LeaseReply) error {
 		// the result is deterministic for the spec, so the coordinator
 		// accepts it if the cell is still open and dedups it if not.
 		var rep SubmitReply
-		if err := w.post(ctx, PathSubmit, &SubmitRequest{Worker: w.ID,
+		if err := w.Client.do(ctx, http.MethodPost, PathSubmit, &SubmitRequest{Worker: w.ID,
 			LeaseID: l.LeaseID, Campaign: l.Campaign, Cell: l.Cell, Result: res,
 			Metrics: w.delta.Delta()}, &rep); err != nil {
 			return err
@@ -203,7 +176,7 @@ func (w *Worker) runCell(ctx context.Context, l *LeaseReply) error {
 		// and keep working; if the campaign dies of it, the next lease
 		// request returns done and Run exits.
 		var rep SubmitReply
-		if err := w.post(ctx, PathSubmit, &SubmitRequest{Worker: w.ID,
+		if err := w.Client.do(ctx, http.MethodPost, PathSubmit, &SubmitRequest{Worker: w.ID,
 			LeaseID: l.LeaseID, Campaign: l.Campaign, Cell: l.Cell, Err: runErr.Error(),
 			Metrics: w.delta.Delta()}, &rep); err != nil {
 			return err
@@ -216,110 +189,6 @@ func (w *Worker) runCell(ctx context.Context, l *LeaseReply) error {
 	// RunGrid returned no error and no result: impossible for a one-spec
 	// grid, but fail loudly rather than spin.
 	return fmt.Errorf("dispatch: cell %d produced neither result nor error", l.Cell)
-}
-
-// retryAfterError is a 429 from the server: not an outage, but an explicit
-// "come back later" with the server's suggested pause.
-type retryAfterError struct {
-	path  string
-	after time.Duration
-}
-
-func (e *retryAfterError) Error() string {
-	return fmt.Sprintf("dispatch: %s: HTTP 429, retry after %v", e.path, e.after)
-}
-
-// maxRetryAfter caps how long a server-suggested Retry-After is honored —
-// a misconfigured or adversarial header must not park the client forever.
-const maxRetryAfter = 30 * time.Second
-
-// post sends one request, retrying with backoff while the coordinator is
-// unreachable, until MaxDowntime elapses or ctx is cancelled. A typed 4xx
-// rejection (TerminalError) returns immediately: the server is healthy and
-// said no — burning the downtime budget repeating the same doomed request
-// would only delay the inevitable. A 429 is retried on the server's
-// Retry-After schedule (capped exponential backoff underneath).
-func (w *Worker) post(ctx context.Context, path string, req, rep any) error {
-	start := time.Now()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		lastErr = w.postOnce(ctx, path, req, rep)
-		if lastErr == nil {
-			return nil
-		}
-		var term *TerminalError
-		if errors.As(lastErr, &term) {
-			return lastErr
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if time.Since(start) >= w.maxDowntime() {
-			return fmt.Errorf("dispatch: coordinator %s unreachable for %v: %w",
-				w.URL, w.maxDowntime(), lastErr)
-		}
-		delay := w.Backoff.Delay(attempt, nil)
-		var ra *retryAfterError
-		if errors.As(lastErr, &ra) && ra.after > delay {
-			delay = min(ra.after, maxRetryAfter)
-		}
-		if !sleepCtx(ctx, delay) {
-			return ctx.Err()
-		}
-	}
-}
-
-// postOnce sends one JSON POST and decodes the JSON reply, no retries.
-// Non-200 statuses are classified: 429 → retryAfterError (back off and
-// retry), other 4xx → TerminalError (the request is permanently rejected),
-// 5xx and transport failures → plain errors (transient, retry).
-func (w *Worker) postOnce(ctx context.Context, path string, req, rep any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := w.client().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return classifyHTTPError(path, resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(rep)
-}
-
-// classifyHTTPError turns a non-200 reply into the right error flavor for
-// the retry loop, consuming (a bounded prefix of) the body for the reason.
-func classifyHTTPError(path string, resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode == http.StatusTooManyRequests {
-		after := 2 * time.Second
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-				after = time.Duration(secs) * time.Second
-			}
-		}
-		return &retryAfterError{path: path, after: after}
-	}
-	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-		term := &TerminalError{Path: path, Status: resp.StatusCode,
-			Msg: strings.TrimSpace(string(raw))}
-		var ae APIError
-		if json.Unmarshal(raw, &ae) == nil && ae.Code != "" {
-			term.Code, term.Msg = ae.Code, ae.Error
-		}
-		if term.Msg == "" {
-			term.Msg = http.StatusText(resp.StatusCode)
-		}
-		return term
-	}
-	return fmt.Errorf("dispatch: %s: HTTP %d", path, resp.StatusCode)
 }
 
 // sleepCtx pauses for d, returning false if ctx was cancelled first.

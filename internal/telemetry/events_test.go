@@ -3,8 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +179,100 @@ func TestReadEventsMidStreamCorruptionFatal(t *testing.T) {
 	if _, err := ReadEvents(strings.NewReader(in)); err == nil {
 		t.Fatal("mid-stream corruption must fail the read")
 	}
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadEventsLineCapBoundsAllocation: a line longer than the cap fails
+// the read once the buffer reaches the cap, however long the line is.
+func TestReadEventsLineCapBoundsAllocation(t *testing.T) {
+	line := io.MultiReader(strings.NewReader(`{"detail":"`),
+		io.LimitReader(zeros{}, 16*maxJSONLLine))
+	var err error
+	grew := allocatedBy(func() { _, err = ReadEvents(line) })
+	if err == nil {
+		t.Fatal("a 16 MiB line was accepted")
+	}
+	if grew > 4*maxJSONLLine {
+		t.Fatalf("a 16 MiB line allocated %d bytes, want <= %d", grew, 4*maxJSONLLine)
+	}
+}
+
+// zeros reads as an endless run of '0' bytes without allocating.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// FuzzReadEvents feeds arbitrary bytes to ReadEvents, which decodes event
+// logs from disk and -watch's long-poll bodies. Whatever the bytes, nothing
+// panics, allocation stays within the line cap plus a linear cost per input
+// byte, at most a torn final line is forgiven, and the events read back
+// from their own encoding are the same list.
+func FuzzReadEvents(f *testing.F) {
+	whole := `{"seq":1,"t_ns":1,"type":"campaign_start","cell":-1}` + "\n"
+	for _, seed := range []string{
+		"",
+		whole,
+		whole + `{"seq":2,"t_ns":2,"type":"cell_done","ce`,
+		whole + "\x00\x00\x00\n",
+		`{"seq":1,"t_ns":1,"type":"cell_leased","cell":0}` + "\n" + `{"seq":2,"bro`,
+		`{"seq":1,"t_ns":1,"type":"cell_leased","cell":0}` + "\n" + `garbage` + "\n" +
+			`{"seq":3,"t_ns":3,"type":"cell_done","cell":0}` + "\n",
+		`{"seq":2,"t_ns":42,"type":"cell_done","cell":0,"samples":10,"counts":{"masked":7,"sdc":3}}` + "\n",
+		"\n \r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var el *EventList
+		var err error
+		grew := allocatedBy(func() { el, err = ReadEvents(bytes.NewReader(data)) })
+		// Each decoded event costs about 1.5 KiB, and the shortest event
+		// line ("{}\n") is 3 bytes.
+		if limit := 4*maxJSONLLine + 2048*uint64(len(data)); grew > limit {
+			t.Fatalf("%d input bytes allocated %d bytes, want <= %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		if el.Truncated > 1 {
+			t.Fatalf("Truncated = %d, want <= 1", el.Truncated)
+		}
+		enc := encodeEvents(t, el.Events)
+		again, err := ReadEvents(bytes.NewReader(enc))
+		if err != nil || again.Truncated != 0 {
+			t.Fatalf("re-read of the encoded events: %v, %d truncated\n%s", err, again.Truncated, enc)
+		}
+		if reenc := encodeEvents(t, again.Events); !bytes.Equal(reenc, enc) {
+			t.Fatalf("events changed across a round trip:\n%s\nvs\n%s", enc, reenc)
+		}
+	})
+}
+
+// encodeEvents renders events as a JSONL log.
+func encodeEvents(t *testing.T, evs []Event) []byte {
+	var buf bytes.Buffer
+	for _, ev := range evs {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes()
 }
 
 func TestEventLogNilSafe(t *testing.T) {

@@ -150,11 +150,15 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// newJSONLScanner returns a line scanner sized for JSONL records (1 MiB
-// line cap), shared by the trace and event-log readers.
+// maxJSONLLine caps one JSONL record: a longer line fails the read
+// instead of growing the buffer without bound.
+const maxJSONLLine = 1 << 20
+
+// newJSONLScanner returns a line scanner sized for JSONL records, shared
+// by the trace and event-log readers.
 func newJSONLScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxJSONLLine)
 	return sc
 }
 
