@@ -1,6 +1,9 @@
 package cache
 
-import "bytes"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Snapshot is a deep copy of a cache's mutable state: every line's tag,
 // state bits, LRU stamp and data, plus the use clock and access counters.
@@ -42,6 +45,18 @@ func (c *Cache) Snapshot() *Snapshot {
 		copy(s.data[i*c.cfg.LineSize:], ln.data)
 	}
 	return s
+}
+
+// CheckShape reports an error unless s was taken from a cache of this
+// geometry, so a decoded snapshot can be rejected before Restore would
+// panic on it.
+func (c *Cache) CheckShape(s *Snapshot) error {
+	n := len(c.lines)
+	if len(s.tags) != n || len(s.flags) != n || len(s.lastUse) != n || len(s.data) != n*c.cfg.LineSize {
+		return fmt.Errorf("%s: snapshot has %d lines and %d data bytes, cache has %d and %d",
+			c.cfg.Name, len(s.tags), len(s.data), n, n*c.cfg.LineSize)
+	}
+	return nil
 }
 
 // Restore overwrites the cache state with the snapshot's. The cache must

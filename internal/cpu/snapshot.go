@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"slices"
 
 	"mbusim/internal/isa"
@@ -134,6 +135,19 @@ func (c *Core) Snapshot() *Snapshot {
 		mispredicts: c.Mispredicts,
 		squashes:    c.Squashes,
 	}
+}
+
+// CheckShape reports an error unless s was taken from a core with this
+// register-file and ROB size, so a decoded snapshot can be rejected before
+// Restore would panic on it.
+func (c *Core) CheckShape(s *Snapshot) error {
+	if n := len(c.rf.vals); len(s.rf.vals) != n || len(s.rf.ready) != n {
+		return fmt.Errorf("RegFile: snapshot has %d registers, core has %d", len(s.rf.vals), n)
+	}
+	if len(s.rob) != len(c.rob) {
+		return fmt.Errorf("ROB: snapshot has %d entries, core has %d", len(s.rob), len(c.rob))
+	}
+	return nil
 }
 
 // Restore overwrites the core state with the snapshot's, deep-copying every

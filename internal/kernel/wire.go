@@ -2,37 +2,17 @@ package kernel
 
 import "mbusim/internal/wire"
 
-// EncodeWire appends the snapshot's complete state to w in the artifact
-// wire format (field order versioned by sim.SnapshotFormat).
-func (s *Snapshot) EncodeWire(w *wire.Writer) {
-	w.U32(s.ptRoot)
-	w.U32(s.nextFrame)
-	w.Bool(s.booted)
-	w.U32(s.heapStart)
-	w.U32(s.brk)
-	w.Blob(s.stdout)
-	w.Bool(s.truncated)
-	w.U32(s.exitCode)
-	w.String(s.killMsg)
-	w.String(s.panicMsg)
-}
-
-// DecodeSnapshotWire reads a snapshot encoded by EncodeWire.
-func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
-	s := &Snapshot{
-		ptRoot:    r.U32(),
-		nextFrame: r.U32(),
-		booted:    r.Bool(),
-		heapStart: r.U32(),
-		brk:       r.U32(),
-		stdout:    r.Blob(),
-		truncated: r.Bool(),
-		exitCode:  r.U32(),
-		killMsg:   r.String(),
-		panicMsg:  r.String(),
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+// Wire runs the snapshot's fields through c in the artifact wire format
+// (field order versioned by sim.SnapshotFormat).
+func (s *Snapshot) Wire(c *wire.Codec) {
+	c.U32(&s.ptRoot)
+	c.U32(&s.nextFrame)
+	c.Bool(&s.booted)
+	c.U32(&s.heapStart)
+	c.U32(&s.brk)
+	c.Blob(&s.stdout)
+	c.Bool(&s.truncated)
+	c.U32(&s.exitCode)
+	c.String(&s.killMsg)
+	c.String(&s.panicMsg)
 }

@@ -1,7 +1,6 @@
 package liveness
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -199,54 +198,13 @@ func (p *Profile) Key() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Encode serializes the profile: magic, format version, payload, then a
-// sha256 trailer over everything before it, so corruption anywhere in the
+// Encode serializes the profile in the sealed wire envelope (magic,
+// format version, payload, sha256 trailer), so corruption anywhere in the
 // bytes is caught before any field is trusted. Every slice is written in
 // its stored order and the profiler fills them deterministically, so equal
 // runs encode to equal bytes.
 func (p *Profile) Encode() []byte {
-	var w wire.Writer
-	w.String(p.Workload)
-	w.Blob(p.ImageHash[:])
-	w.U64(p.Cycles)
-	w.Int(p.Windows)
-	w.Int(len(p.Components))
-	for i := range p.Components {
-		c := &p.Components[i]
-		w.String(c.Name)
-		w.Int(c.Rows)
-		w.Int(c.Cols)
-		w.Int(len(c.Classes))
-		for j := range c.Classes {
-			cl := &c.Classes[j]
-			w.String(cl.Name)
-			w.U64(cl.Bits)
-			w.U64(cl.AceBitCycles)
-			w.U64(cl.NeverBitCycles)
-			w.U64(cl.Defs)
-			w.U64(cl.Reads)
-			for _, n := range cl.Life {
-				w.U64(n)
-			}
-		}
-		w.Int(len(c.OccBP))
-		for _, v := range c.OccBP {
-			w.U32(v)
-		}
-		w.Int(len(c.DirtyBP))
-		for _, v := range c.DirtyBP {
-			w.U32(v)
-		}
-		w.Blob(c.RowValid)
-	}
-	payload := w.Bytes()
-
-	out := make([]byte, 0, len(profileMagic)+8+len(payload)+sha256.Size)
-	out = append(out, profileMagic[:]...)
-	out = binary.LittleEndian.AppendUint64(out, ProfileFormat)
-	out = append(out, payload...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	return wire.Seal(profileMagic, ProfileFormat, wire.Encode(p.wire))
 }
 
 // DecodeProfile parses and verifies an encoded profile. It rejects bad
@@ -254,105 +212,62 @@ func (p *Profile) Encode() []byte {
 // bytes, and any structural inconsistency — a caller that gets a non-nil
 // Profile back holds exactly what Encode was given.
 func DecodeProfile(data []byte) (*Profile, error) {
-	headerLen := len(profileMagic) + 8
-	if len(data) < headerLen+sha256.Size {
-		return nil, fmt.Errorf("liveness: profile truncated (%d bytes)", len(data))
+	payload, err := wire.Open(data, profileMagic, ProfileFormat)
+	if err != nil {
+		return nil, fmt.Errorf("liveness: profile: %w", err)
 	}
-	if !bytes.Equal(data[:4], profileMagic[:]) {
-		return nil, fmt.Errorf("liveness: bad profile magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint64(data[4:12]); v != ProfileFormat {
-		return nil, fmt.Errorf("liveness: unsupported profile format %d (want %d)", v, ProfileFormat)
-	}
-	body, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
-		return nil, fmt.Errorf("liveness: profile content hash mismatch")
-	}
-
-	r := wire.NewReader(body[headerLen:])
-	p := &Profile{Workload: r.String()}
-	ih := r.Blob()
-	p.Cycles = r.U64()
-	p.Windows = r.Int()
-	nComps := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("liveness: profile header: %w", err)
-	}
-	if len(ih) != len(p.ImageHash) {
-		return nil, fmt.Errorf("liveness: profile image hash is %d bytes", len(ih))
-	}
-	copy(p.ImageHash[:], ih)
-	if p.Windows < 1 || p.Windows > MaxWindows {
-		return nil, fmt.Errorf("liveness: profile window count %d out of range", p.Windows)
-	}
-	if nComps < 1 || nComps > maxProfileComponents {
-		return nil, fmt.Errorf("liveness: profile component count %d out of range", nComps)
-	}
-	p.Components = make([]ComponentProfile, nComps)
-	for i := range p.Components {
-		c := &p.Components[i]
-		c.Name = r.String()
-		c.Rows = r.Int()
-		c.Cols = r.Int()
-		nClasses := r.Int()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("liveness: profile component %d: %w", i, err)
-		}
-		if c.Rows < 1 || c.Rows > maxProfileRows || c.Cols < 1 || c.Cols > maxProfileCols {
-			return nil, fmt.Errorf("liveness: component %q geometry %dx%d out of range", c.Name, c.Rows, c.Cols)
-		}
-		if nClasses < 1 || nClasses > maxProfileClasses {
-			return nil, fmt.Errorf("liveness: component %q class count %d out of range", c.Name, nClasses)
-		}
-		c.Classes = make([]ClassProfile, nClasses)
-		for j := range c.Classes {
-			cl := &c.Classes[j]
-			cl.Name = r.String()
-			cl.Bits = r.U64()
-			cl.AceBitCycles = r.U64()
-			cl.NeverBitCycles = r.U64()
-			cl.Defs = r.U64()
-			cl.Reads = r.U64()
-			for b := range cl.Life {
-				cl.Life[b] = r.U64()
-			}
-		}
-		nOcc := r.Int()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("liveness: component %q classes: %w", c.Name, err)
-		}
-		if nOcc != p.Windows {
-			return nil, fmt.Errorf("liveness: component %q has %d occupancy windows, want %d", c.Name, nOcc, p.Windows)
-		}
-		c.OccBP = make([]uint32, nOcc)
-		for k := range c.OccBP {
-			c.OccBP[k] = r.U32()
-		}
-		nDirty := r.Int()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("liveness: component %q occupancy: %w", c.Name, err)
-		}
-		if nDirty != 0 && nDirty != p.Windows {
-			return nil, fmt.Errorf("liveness: component %q has %d dirty windows, want 0 or %d", c.Name, nDirty, p.Windows)
-		}
-		if nDirty > 0 {
-			c.DirtyBP = make([]uint32, nDirty)
-			for k := range c.DirtyBP {
-				c.DirtyBP[k] = r.U32()
-			}
-		}
-		c.RowValid = r.Blob()
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("liveness: profile payload: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("liveness: %d trailing bytes after profile payload", r.Len())
+	p := &Profile{}
+	if err := wire.Decode(payload, p.wire); err != nil {
+		return nil, fmt.Errorf("liveness: profile: %w", err)
 	}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// wire runs the profile payload's fields through c. The decode-time
+// bounds come before each allocation they size; validate checks the
+// cross-field invariants once everything is read.
+func (p *Profile) wire(c *wire.Codec) {
+	c.String(&p.Workload)
+	c.Hash(&p.ImageHash)
+	c.U64(&p.Cycles)
+	c.Int(&p.Windows)
+	c.Check(p.Windows >= 1 && p.Windows <= MaxWindows, "liveness: profile window count %d out of range", p.Windows)
+	wire.Slice(c, &p.Components, maxProfileComponents, func(c *wire.Codec, cp *ComponentProfile) {
+		cp.wire(c, p.Windows)
+	})
+	c.Check(len(p.Components) >= 1, "liveness: profile has no components")
+}
+
+func (cp *ComponentProfile) wire(c *wire.Codec, windows int) {
+	c.String(&cp.Name)
+	c.Int(&cp.Rows)
+	c.Int(&cp.Cols)
+	c.Check(cp.Rows >= 1 && cp.Rows <= maxProfileRows && cp.Cols >= 1 && cp.Cols <= maxProfileCols,
+		"liveness: component %q geometry %dx%d out of range", cp.Name, cp.Rows, cp.Cols)
+	wire.Slice(c, &cp.Classes, maxProfileClasses, wireClass)
+	c.Check(len(cp.Classes) >= 1, "liveness: component %q has no classes", cp.Name)
+	wire.Slice(c, &cp.OccBP, windows, (*wire.Codec).U32)
+	c.Check(len(cp.OccBP) == windows,
+		"liveness: component %q has %d occupancy windows, want %d", cp.Name, len(cp.OccBP), windows)
+	wire.Slice(c, &cp.DirtyBP, windows, (*wire.Codec).U32)
+	c.Check(len(cp.DirtyBP) == 0 || len(cp.DirtyBP) == windows,
+		"liveness: component %q has %d dirty windows, want 0 or %d", cp.Name, len(cp.DirtyBP), windows)
+	c.Blob(&cp.RowValid)
+}
+
+func wireClass(c *wire.Codec, cl *ClassProfile) {
+	c.String(&cl.Name)
+	c.U64(&cl.Bits)
+	c.U64(&cl.AceBitCycles)
+	c.U64(&cl.NeverBitCycles)
+	c.U64(&cl.Defs)
+	c.U64(&cl.Reads)
+	for b := range cl.Life {
+		c.U64(&cl.Life[b])
+	}
 }
 
 // validate checks the profile's internal consistency: class geometry sums,

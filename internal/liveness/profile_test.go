@@ -3,10 +3,11 @@ package liveness
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
+
+	"mbusim/internal/wire"
 )
 
 // testProfile builds a small, internally consistent profile by hand.
@@ -156,14 +157,9 @@ func TestDecodeRejectsInconsistency(t *testing.T) {
 	}
 }
 
-// frameProfile wraps a payload in the container Encode writes: magic,
-// format version, payload, sha256 trailer.
+// frameProfile wraps a payload in the sealed envelope Encode writes.
 func frameProfile(payload []byte) []byte {
-	out := append([]byte(nil), profileMagic[:]...)
-	out = binary.LittleEndian.AppendUint64(out, ProfileFormat)
-	out = append(out, payload...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	return wire.Seal(profileMagic, ProfileFormat, payload)
 }
 
 // FuzzDecodeProfile fuzzes the profile payload behind a valid container,

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 )
 
@@ -47,6 +48,27 @@ func (r *RAM) Snapshot() *Snapshot {
 		s.data = append(s.data, chunk...)
 	}
 	return s
+}
+
+// CheckShape reports an error unless s was taken from a RAM of this size
+// and its chunks lie inside that RAM and account for its payload exactly,
+// so a decoded snapshot can be rejected before Restore would fail on it.
+func (r *RAM) CheckShape(s *Snapshot) error {
+	size := uint32(len(r.bytes))
+	if s.size != size || s.highWater > size {
+		return fmt.Errorf("RAM: %d-byte snapshot with high water %d, RAM has %d bytes", s.size, s.highWater, size)
+	}
+	span := 0
+	for i, start := range s.chunks {
+		if start%snapChunk != 0 || start >= size || (i > 0 && start <= s.chunks[i-1]) {
+			return fmt.Errorf("RAM: snapshot chunk %d at offset %d is misplaced", i, start)
+		}
+		span += int(min(start+snapChunk, size) - start)
+	}
+	if span != len(s.data) {
+		return fmt.Errorf("RAM: snapshot chunks span %d bytes, payload has %d", span, len(s.data))
+	}
+	return nil
 }
 
 // Restore overwrites the RAM contents with the snapshot's. The RAM must

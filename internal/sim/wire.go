@@ -11,132 +11,89 @@ import (
 )
 
 // SnapshotFormat versions the binary wire encoding of machine snapshots —
-// the field sequences in the EncodeWire/DecodeSnapshotWire pairs of every
-// component package plus this one. It is hashed into every checkpoint
-// artifact key, so bumping it (required whenever any snapshotted field is
-// added, removed, or reordered) silently invalidates every cached
-// artifact instead of letting an old build's bytes decode into the wrong
-// fields.
+// the field lists in the Wire methods of every component package plus
+// this one. It is hashed into every checkpoint artifact key, so bumping it
+// (required whenever any snapshotted field is added, removed, or
+// reordered) silently invalidates every cached artifact instead of letting
+// an old build's bytes decode into the wrong fields.
 const SnapshotFormat = 1
 
-func encodeConfig(w *wire.Writer, cfg Config) {
-	w.Int(cfg.CPU.FetchWidth)
-	w.Int(cfg.CPU.IssueWidth)
-	w.Int(cfg.CPU.WBWidth)
-	w.Int(cfg.CPU.CommitWidth)
-	w.Int(cfg.CPU.ROBSize)
-	w.Int(cfg.CPU.IQSize)
-	w.Int(cfg.CPU.PhysRegs)
-	w.Int(cfg.CPU.LQSize)
-	w.Int(cfg.CPU.SQSize)
-	w.Int(cfg.CPU.FetchQSize)
-	w.Int(cfg.CPU.ALULat)
-	w.Int(cfg.CPU.MulLat)
-	w.Int(cfg.CPU.DivLat)
-	w.Int(cfg.CPU.AGULat)
-	w.U64(cfg.CPU.DeadlockLimit)
-	w.Bool(cfg.CPU.InOrder)
+func (cfg *Config) wire(c *wire.Codec) {
+	c.Int(&cfg.CPU.FetchWidth)
+	c.Int(&cfg.CPU.IssueWidth)
+	c.Int(&cfg.CPU.WBWidth)
+	c.Int(&cfg.CPU.CommitWidth)
+	c.Int(&cfg.CPU.ROBSize)
+	c.Int(&cfg.CPU.IQSize)
+	c.Int(&cfg.CPU.PhysRegs)
+	c.Int(&cfg.CPU.LQSize)
+	c.Int(&cfg.CPU.SQSize)
+	c.Int(&cfg.CPU.FetchQSize)
+	c.Int(&cfg.CPU.ALULat)
+	c.Int(&cfg.CPU.MulLat)
+	c.Int(&cfg.CPU.DivLat)
+	c.Int(&cfg.CPU.AGULat)
+	c.U64(&cfg.CPU.DeadlockLimit)
+	c.Bool(&cfg.CPU.InOrder)
 
-	w.Int(cfg.L1Size)
-	w.Int(cfg.L1Ways)
-	w.Int(cfg.L2Size)
-	w.Int(cfg.L2Ways)
-	w.Int(cfg.LineSize)
-	w.Int(cfg.L1Lat)
-	w.Int(cfg.L2Lat)
-	w.Int(cfg.TLBEntries)
-	w.Int(cfg.PABits)
-	w.Bool(cfg.WalkerDirect)
+	c.Int(&cfg.L1Size)
+	c.Int(&cfg.L1Ways)
+	c.Int(&cfg.L2Size)
+	c.Int(&cfg.L2Ways)
+	c.Int(&cfg.LineSize)
+	c.Int(&cfg.L1Lat)
+	c.Int(&cfg.L2Lat)
+	c.Int(&cfg.TLBEntries)
+	c.Int(&cfg.PABits)
+	c.Bool(&cfg.WalkerDirect)
 }
 
-func decodeConfig(r *wire.Reader) Config {
-	var cfg Config
-	cfg.CPU.FetchWidth = r.Int()
-	cfg.CPU.IssueWidth = r.Int()
-	cfg.CPU.WBWidth = r.Int()
-	cfg.CPU.CommitWidth = r.Int()
-	cfg.CPU.ROBSize = r.Int()
-	cfg.CPU.IQSize = r.Int()
-	cfg.CPU.PhysRegs = r.Int()
-	cfg.CPU.LQSize = r.Int()
-	cfg.CPU.SQSize = r.Int()
-	cfg.CPU.FetchQSize = r.Int()
-	cfg.CPU.ALULat = r.Int()
-	cfg.CPU.MulLat = r.Int()
-	cfg.CPU.DivLat = r.Int()
-	cfg.CPU.AGULat = r.Int()
-	cfg.CPU.DeadlockLimit = r.U64()
-	cfg.CPU.InOrder = r.Bool()
-
-	cfg.L1Size = r.Int()
-	cfg.L1Ways = r.Int()
-	cfg.L2Size = r.Int()
-	cfg.L2Ways = r.Int()
-	cfg.LineSize = r.Int()
-	cfg.L1Lat = r.Int()
-	cfg.L2Lat = r.Int()
-	cfg.TLBEntries = r.Int()
-	cfg.PABits = r.Int()
-	cfg.WalkerDirect = r.Bool()
-	return cfg
-}
-
-// EncodeWire appends the complete machine snapshot — configuration plus
-// every component's state — to w in the artifact wire format. The core's
-// predecoded text is deliberately excluded (it is derived from the program
-// image); a decoded snapshot must have a text bound with BindProgram
-// before it can be restored into a machine.
-func (s *Snapshot) EncodeWire(w *wire.Writer) {
-	encodeConfig(w, s.Cfg)
-	s.ram.EncodeWire(w)
-	s.l1i.EncodeWire(w)
-	s.l1d.EncodeWire(w)
-	s.l2.EncodeWire(w)
-	s.itlb.EncodeWire(w)
-	s.dtlb.EncodeWire(w)
-	s.walker.EncodeWire(w)
-	s.kern.EncodeWire(w)
-	s.core.EncodeWire(w)
-}
-
-// DecodeSnapshotWire reads a machine snapshot encoded by EncodeWire.
-func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
-	s := &Snapshot{Cfg: decodeConfig(r)}
-	var err error
-	if s.ram, err = mem.DecodeSnapshotWire(r); err != nil {
-		return nil, err
+// Wire runs the complete machine snapshot — configuration plus every
+// component's state — through c in the artifact wire format. The core's
+// predecoded text is deliberately excluded (it is derived from the
+// program image); a decoded snapshot must have a text bound with
+// BindProgram before it can be restored into a machine.
+func (s *Snapshot) Wire(c *wire.Codec) {
+	s.Cfg.wire(c)
+	if c.Decoding() {
+		s.ram = new(mem.Snapshot)
+		s.l1i, s.l1d, s.l2 = new(cache.Snapshot), new(cache.Snapshot), new(cache.Snapshot)
+		s.itlb, s.dtlb = new(tlb.Snapshot), new(tlb.Snapshot)
+		s.walker = new(vm.WalkerSnapshot)
+		s.kern = new(kernel.Snapshot)
+		s.core = new(cpu.Snapshot)
 	}
-	if s.l1i, err = cache.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	if s.l1d, err = cache.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	if s.l2, err = cache.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	if s.itlb, err = tlb.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	if s.dtlb, err = tlb.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	if s.walker, err = vm.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	if s.kern, err = kernel.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	if s.core, err = cpu.DecodeSnapshotWire(r); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.ram.Wire(c)
+	s.l1i.Wire(c)
+	s.l1d.Wire(c)
+	s.l2.Wire(c)
+	s.itlb.Wire(c)
+	s.dtlb.Wire(c)
+	s.walker.Wire(c)
+	s.kern.Wire(c)
+	s.core.Wire(c)
 }
 
 // BindProgram attaches the predecoded text of a live machine (one that
 // has Load-ed the program image the snapshot was taken under) to a decoded
-// snapshot, making it restorable. Snapshots taken in-process already share
-// their core's pretext and never need binding.
+// snapshot, making it restorable. It first checks every component's
+// dimensions against m's, so a snapshot whose shape does not match the
+// machine it will be restored into is refused here instead of panicking
+// at restore. Snapshots taken in-process already share their core's
+// pretext and never need binding.
 func (s *Snapshot) BindProgram(m *Machine) error {
+	for _, err := range []error{
+		m.RAM.CheckShape(s.ram),
+		m.L1I.CheckShape(s.l1i),
+		m.L1D.CheckShape(s.l1d),
+		m.L2.CheckShape(s.l2),
+		m.ITLB.CheckShape(s.itlb),
+		m.DTLB.CheckShape(s.dtlb),
+		m.Core.CheckShape(s.core),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	return s.core.BindText(m.Core)
 }

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -25,6 +26,16 @@ func (t *TLB) Snapshot() *Snapshot {
 		hits:      t.Hits,
 		missCount: t.MissCount,
 	}
+}
+
+// CheckShape reports an error unless s was taken from a TLB with this
+// entry count, so a decoded snapshot can be rejected before Restore would
+// panic on it.
+func (t *TLB) CheckShape(s *Snapshot) error {
+	if len(s.entries) != len(t.entries) {
+		return fmt.Errorf("%s: snapshot has %d entries, TLB has %d", t.name, len(s.entries), len(t.entries))
+	}
+	return nil
 }
 
 // Restore overwrites the TLB state with the snapshot's. The TLB must have

@@ -2,18 +2,9 @@ package vm
 
 import "mbusim/internal/wire"
 
-// EncodeWire appends the snapshot's complete state to w in the artifact
-// wire format (field order versioned by sim.SnapshotFormat).
-func (s *WalkerSnapshot) EncodeWire(w *wire.Writer) {
-	w.U32(s.root)
-	w.U64(s.walks)
-}
-
-// DecodeSnapshotWire reads a snapshot encoded by EncodeWire.
-func DecodeSnapshotWire(r *wire.Reader) (*WalkerSnapshot, error) {
-	s := &WalkerSnapshot{root: r.U32(), walks: r.U64()}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+// Wire runs the snapshot's fields through c in the artifact wire format
+// (field order versioned by sim.SnapshotFormat).
+func (s *WalkerSnapshot) Wire(c *wire.Codec) {
+	c.U32(&s.root)
+	c.U64(&s.walks)
 }

@@ -128,34 +128,12 @@ func ExportArtifact(w *Workload) (*Artifact, error) {
 	}, nil
 }
 
-// Encode serializes the artifact: magic, format version, payload, then a
-// sha256 trailer over everything before it. The trailer is what cached and
-// fetched copies are verified against, so corruption anywhere in the bytes
-// is caught before any field is trusted.
+// Encode serializes the artifact in the sealed wire envelope (magic,
+// format version, payload, sha256 trailer). The trailer is what cached
+// and fetched copies are verified against, so corruption anywhere in the
+// bytes is caught before any field is trusted.
 func (a *Artifact) Encode() []byte {
-	var w wire.Writer
-	w.String(a.Workload)
-	w.Blob(a.ImageHash[:])
-	w.Int(a.K)
-	w.U64(a.Golden.Cycles)
-	w.U64(a.Golden.Committed)
-	w.Blob(a.Golden.Stdout)
-	w.U32(a.Golden.ExitCode)
-	w.Int(len(a.Cycles))
-	for _, c := range a.Cycles {
-		w.U64(c)
-	}
-	for _, s := range a.Snaps {
-		s.EncodeWire(&w)
-	}
-	payload := w.Bytes()
-
-	out := make([]byte, 0, len(artifactMagic)+8+len(payload)+sha256.Size)
-	out = append(out, artifactMagic[:]...)
-	out = binary.LittleEndian.AppendUint64(out, ArtifactFormat)
-	out = append(out, payload...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	return wire.Seal(artifactMagic, ArtifactFormat, wire.Encode(a.wire))
 }
 
 // maxArtifactCheckpoints bounds the checkpoint count a decoded artifact may
@@ -167,62 +145,42 @@ const maxArtifactCheckpoints = 1 << 12
 // bytes, and any structural inconsistency — a caller that gets a non-nil
 // Artifact back holds exactly what Encode was given.
 func DecodeArtifact(data []byte) (*Artifact, error) {
-	headerLen := len(artifactMagic) + 8
-	if len(data) < headerLen+sha256.Size {
-		return nil, fmt.Errorf("workloads: artifact truncated (%d bytes)", len(data))
+	payload, err := wire.Open(data, artifactMagic, ArtifactFormat)
+	if err != nil {
+		return nil, fmt.Errorf("workloads: artifact: %w", err)
 	}
-	if !bytes.Equal(data[:4], artifactMagic[:]) {
-		return nil, fmt.Errorf("workloads: bad artifact magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint64(data[4:12]); v != ArtifactFormat {
-		return nil, fmt.Errorf("workloads: unsupported artifact format %d (want %d)", v, ArtifactFormat)
-	}
-	body, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
-		return nil, fmt.Errorf("workloads: artifact content hash mismatch")
-	}
-
-	r := wire.NewReader(body[headerLen:])
-	a := &Artifact{Workload: r.String()}
-	ih := r.Blob()
-	a.K = r.Int()
-	a.Golden.Cycles = r.U64()
-	a.Golden.Committed = r.U64()
-	a.Golden.Stdout = r.Blob()
-	a.Golden.ExitCode = r.U32()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("workloads: artifact header: %w", err)
-	}
-	if len(ih) != len(a.ImageHash) {
-		return nil, fmt.Errorf("workloads: artifact image hash is %d bytes", len(ih))
-	}
-	copy(a.ImageHash[:], ih)
-	if n < 1 || n > maxArtifactCheckpoints {
-		return nil, fmt.Errorf("workloads: artifact checkpoint count %d out of range", n)
-	}
-	a.Cycles = make([]uint64, n)
-	for i := range a.Cycles {
-		a.Cycles[i] = r.U64()
-	}
-	a.Snaps = make([]*sim.Snapshot, n)
-	for i := range a.Snaps {
-		s, err := sim.DecodeSnapshotWire(r)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: artifact checkpoint %d: %w", i, err)
-		}
-		a.Snaps[i] = s
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("workloads: artifact payload: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("workloads: %d trailing bytes after artifact payload", r.Len())
+	a := &Artifact{}
+	if err := wire.Decode(payload, a.wire); err != nil {
+		return nil, fmt.Errorf("workloads: artifact: %w", err)
 	}
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// wire runs the artifact payload's fields through c: identity, golden
+// run, the checkpoint cycles, then one snapshot per cycle.
+func (a *Artifact) wire(c *wire.Codec) {
+	c.String(&a.Workload)
+	c.Hash(&a.ImageHash)
+	c.Int(&a.K)
+	c.U64(&a.Golden.Cycles)
+	c.U64(&a.Golden.Committed)
+	c.Blob(&a.Golden.Stdout)
+	c.U32(&a.Golden.ExitCode)
+	wire.Slice(c, &a.Cycles, maxArtifactCheckpoints, (*wire.Codec).U64)
+	if c.Decoding() {
+		a.Snaps = make([]*sim.Snapshot, len(a.Cycles))
+	}
+	// Stop at a decode error: each snapshot allocates its fixed-size parts
+	// before reading them.
+	for i := 0; i < len(a.Snaps) && c.Err() == nil; i++ {
+		if c.Decoding() {
+			a.Snaps[i] = new(sim.Snapshot)
+		}
+		a.Snaps[i].Wire(c)
+	}
 }
 
 // validate checks the artifact's internal consistency.
@@ -313,10 +271,6 @@ func InstallArtifact(w *Workload, a *Artifact) error {
 		}
 	}
 	w.ckptOnce.Do(func() {
-		w.ckpts = make([]checkpoint, len(a.Snaps))
-		for i := range a.Snaps {
-			w.ckpts[i] = checkpoint{cycle: a.Cycles[i], snap: a.Snaps[i]}
-		}
 		w.ckptCycles = a.Cycles
 		w.ckptSnaps = a.Snaps
 	})

@@ -2,10 +2,12 @@ package workloads
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mbusim/internal/sim"
+	"mbusim/internal/wire"
 )
 
 // countGoldenDerivations routes the OnGoldenDerived hook into a counter for
@@ -218,8 +220,27 @@ func TestInstallArtifactRejectsMismatch(t *testing.T) {
 	if err := InstallArtifact(w, &bad); err == nil || !strings.Contains(err.Error(), "checkpoints") {
 		t.Fatalf("K mismatch accepted: %v", err)
 	}
+	// A snapshot that claims the default configuration but carries a
+	// half-size L1 would panic at restore; the install must refuse it.
+	cfg := sim.DefaultConfig()
+	cfg.L1Size /= 2
+	m := sim.New(cfg)
+	prog, err := src.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(prog); err != nil {
+		t.Fatal(err)
+	}
+	forged := m.Snapshot()
+	forged.Cfg = sim.DefaultConfig()
+	bad = *a
+	bad.Snaps = append([]*sim.Snapshot{forged}, a.Snaps[1:]...)
+	if err := InstallArtifact(w, &bad); err == nil || !strings.Contains(err.Error(), "checkpoint 0: L1I") {
+		t.Fatalf("forged geometry accepted: %v", err)
+	}
 	// A rejected install must leave the workload untouched: deriving still
-	// works from scratch.
+	// works from scratch, golden run and checkpoints alike.
 	derived := countGoldenDerivations(t)
 	g, err := w.Reference()
 	if err != nil {
@@ -228,4 +249,73 @@ func TestInstallArtifactRejectsMismatch(t *testing.T) {
 	if g.Cycles == 0 || *derived != 1 {
 		t.Fatalf("fallback derivation broken after rejected install: derived=%d", *derived)
 	}
+	if _, _, err := w.MachineAt(g.Cycles / 2); err != nil {
+		t.Fatalf("checkpoints unusable after rejected install: %v", err)
+	}
+}
+
+// fuzzArtifact builds a one-checkpoint artifact on a scaled-down machine
+// (1 KiB L1s, 4 KiB L2, 18-bit physical addresses), so a seed is tens of
+// kilobytes instead of the default configuration's hundreds. The
+// snapshot is taken after warm cycles of execution, so its ROB, queues
+// and caches hold in-flight state; the decoder does not tie a snapshot's
+// contents to its checkpoint cycle.
+func fuzzArtifact(tb testing.TB, name string, warm uint64) *Artifact {
+	tb.Helper()
+	w, err := ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.L1Size, cfg.L2Size, cfg.PABits = 1<<10, 4<<10, 18
+	m := sim.New(cfg)
+	if err := m.Load(prog); err != nil {
+		tb.Fatal(err)
+	}
+	if warm > 0 {
+		m.Run(warm, 0, nil)
+	}
+	return &Artifact{
+		Workload:  name,
+		ImageHash: HashImage(prog),
+		K:         1,
+		Golden:    Golden{Cycles: warm + 1, Committed: warm / 2, Stdout: []byte("ok\n")},
+		Cycles:    []uint64{0},
+		Snaps:     []*sim.Snapshot{m.Snapshot()},
+	}
+}
+
+// FuzzDecodeArtifact fuzzes the artifact payload behind a freshly sealed
+// envelope, so mutations get past the hash check and reach every
+// component decoder. Decoding must not panic, must allocate at most 1 MiB
+// plus 16 bytes per input byte, and every accepted artifact must
+// re-encode to its own bytes.
+func FuzzDecodeArtifact(f *testing.F) {
+	for _, warm := range []uint64{0, 3000} {
+		payload, err := wire.Open(fuzzArtifact(f, "stringSearch", warm).Encode(), artifactMagic, ArtifactFormat)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := wire.Seal(artifactMagic, ArtifactFormat, payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a, err := DecodeArtifact(data)
+		runtime.ReadMemStats(&after)
+		if alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+16*len(data)); alloc > budget {
+			t.Fatalf("decoding %d bytes allocated %d, budget %d (err %v)", len(data), alloc, budget, err)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(a.Encode(), data) {
+			t.Fatal("accepted artifact does not re-encode to its own bytes")
+		}
+	})
 }

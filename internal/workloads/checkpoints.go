@@ -24,12 +24,6 @@ import (
 // like 1.
 var CheckpointCount = 8
 
-// checkpoint is one golden snapshot and the cycle it was taken at.
-type checkpoint struct {
-	cycle uint64
-	snap  *sim.Snapshot
-}
-
 // buildCheckpoints records the checkpoint set during one golden run.
 func (w *Workload) buildCheckpoints() {
 	w.ckptOnce.Do(func() {
@@ -60,14 +54,11 @@ func (w *Workload) buildCheckpoints() {
 					return
 				}
 			}
-			if n := len(w.ckpts); n > 0 && w.ckpts[n-1].cycle == m.Core.Cycles() {
+			if n := len(w.ckptCycles); n > 0 && w.ckptCycles[n-1] == m.Core.Cycles() {
 				continue // tiny workload: targets collapsed onto one cycle
 			}
-			w.ckpts = append(w.ckpts, checkpoint{cycle: m.Core.Cycles(), snap: m.Snapshot()})
-		}
-		for _, c := range w.ckpts {
-			w.ckptCycles = append(w.ckptCycles, c.cycle)
-			w.ckptSnaps = append(w.ckptSnaps, c.snap)
+			w.ckptCycles = append(w.ckptCycles, m.Core.Cycles())
+			w.ckptSnaps = append(w.ckptSnaps, m.Snapshot())
 		}
 	})
 }
@@ -92,11 +83,7 @@ func (w *Workload) CheckpointCycles() ([]uint64, error) {
 	if w.ckptErr != nil {
 		return nil, w.ckptErr
 	}
-	cycles := make([]uint64, len(w.ckpts))
-	for i, c := range w.ckpts {
-		cycles[i] = c.cycle
-	}
-	return cycles, nil
+	return append([]uint64(nil), w.ckptCycles...), nil
 }
 
 // Checkpoint identifies one golden checkpoint: its index within the
@@ -114,17 +101,26 @@ type Checkpoint struct {
 // run resolves. The returned machine is independent of the checkpoint set
 // and of every other machine returned from it.
 func (w *Workload) MachineAt(cycle uint64) (*sim.Machine, Checkpoint, error) {
+	ck, snap, err := w.checkpointAt(cycle)
+	if err != nil {
+		return nil, Checkpoint{}, err
+	}
+	return sim.RestoreMachine(snap), ck, nil
+}
+
+// checkpointAt resolves cycle to the latest golden checkpoint at or before
+// it, building the checkpoint set on first use.
+func (w *Workload) checkpointAt(cycle uint64) (Checkpoint, *sim.Snapshot, error) {
 	w.buildCheckpoints()
 	if w.ckptErr != nil {
-		return nil, Checkpoint{}, w.ckptErr
+		return Checkpoint{}, nil, w.ckptErr
 	}
-	// Latest checkpoint with ckpts[i].cycle <= cycle; index 0 is cycle 0.
-	i := sort.Search(len(w.ckpts), func(i int) bool { return w.ckpts[i].cycle > cycle }) - 1
+	// Latest checkpoint at or before cycle; index 0 is cycle 0.
+	i := sort.Search(len(w.ckptCycles), func(i int) bool { return w.ckptCycles[i] > cycle }) - 1
 	if i < 0 {
 		i = 0
 	}
-	ck := w.ckpts[i]
-	return sim.RestoreMachine(ck.snap), Checkpoint{Index: i, Cycle: ck.cycle}, nil
+	return Checkpoint{Index: i, Cycle: w.ckptCycles[i]}, w.ckptSnaps[i], nil
 }
 
 // Restorer hands out checkpoint-restored machines like MachineAt, but owns
@@ -149,19 +145,13 @@ func (w *Workload) NewRestorer() *Restorer { return &Restorer{w: w} }
 // MachineAt returns the Restorer's machine rewound to the latest golden
 // checkpoint at or before cycle, and which checkpoint that was.
 func (r *Restorer) MachineAt(cycle uint64) (*sim.Machine, Checkpoint, error) {
-	w := r.w
-	w.buildCheckpoints()
-	if w.ckptErr != nil {
-		return nil, Checkpoint{}, w.ckptErr
+	ck, snap, err := r.w.checkpointAt(cycle)
+	if err != nil {
+		return nil, Checkpoint{}, err
 	}
-	i := sort.Search(len(w.ckpts), func(i int) bool { return w.ckpts[i].cycle > cycle }) - 1
-	if i < 0 {
-		i = 0
-	}
-	ck := w.ckpts[i]
 	if r.m == nil {
-		r.m = sim.New(ck.snap.Cfg)
+		r.m = sim.New(snap.Cfg)
 	}
-	r.dirty = r.m.RestoreDelta(ck.snap, r.dirty)
-	return r.m, Checkpoint{Index: i, Cycle: ck.cycle}, nil
+	r.dirty = r.m.RestoreDelta(snap, r.dirty)
+	return r.m, ck, nil
 }

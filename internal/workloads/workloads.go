@@ -37,14 +37,13 @@ type Workload struct {
 	golden     *Golden
 	goldenErr  error
 
-	ckptOnce sync.Once
-	ckpts    []checkpoint
-	ckptErr  error
-
-	// Flattened views of ckpts, built once alongside it, so the campaign's
-	// per-sample convergence checks borrow them without allocating.
+	// The checkpoint set: ascending cycles and the snapshot taken at each,
+	// kept as two parallel slices so the campaign's per-sample convergence
+	// checks borrow them without allocating.
+	ckptOnce   sync.Once
 	ckptCycles []uint64
 	ckptSnaps  []*sim.Snapshot
+	ckptErr    error
 }
 
 // OnGoldenDerived, when non-nil, is called each time a workload's golden
