@@ -146,7 +146,7 @@ type config struct {
 	workload, comp        string
 	faults, samples       int
 	seed                  uint64
-	all, nockpt, nodelta  bool
+	all, nockpt           bool
 	wallTimeout           time.Duration
 	forensics             forensicsFlag
 	outPath               string
@@ -197,10 +197,7 @@ func newFlags(c *config, stderr io.Writer) (*flag.FlagSet, map[string]mode) {
 	fs.IntVar(&c.parallel, in(modeLocal, "parallel"), 0, "cells dispatched concurrently (0 = GOMAXPROCS; sample workers share the cores)")
 	// Every mode accepts -q, so one flag list can quiet any gefin process.
 	fs.BoolVar(&c.quiet, in(modeAny, "q"), false, "suppress per-cell progress")
-	// A profile is the same under every execution strategy, and -profile
-	// accepts -nockpt and -nodelta so that is checkable from the CLI.
-	fs.BoolVar(&c.nockpt, in(modeGrid|modeProfile, "nockpt"), false, "replay every run from cycle 0 instead of fast-forwarding from golden checkpoints")
-	fs.BoolVar(&c.nodelta, in(modeGrid|modeProfile, "nodelta"), false, "build and fully restore a fresh machine per sample instead of delta-restoring one reused machine per worker (A/B verification knob)")
+	fs.BoolVar(&c.nockpt, in(modeGrid, "nockpt"), false, "replay every run from cycle 0 instead of fast-forwarding from golden checkpoints")
 	fs.IntVar(&c.checkpoints, in(modeLocal|modeServe|modeService|modeJoin, "checkpoints"), workloads.CheckpointCount, "golden checkpoints per workload (K)")
 	fs.StringVar(&c.cpuProfile, in(modeAny&^modeWatch, "cpuprofile"), "", "write a CPU profile of the campaign to this file")
 	fs.StringVar(&c.memProfile, in(modeLocal|modeServe, "memprofile"), "", "write a heap profile after the campaign to this file")
@@ -802,7 +799,7 @@ func defaultCacheDir() string {
 // template spec, so a knob reaches single cells and grids alike.
 func buildSpecs(stderr io.Writer, c *config) ([]core.Spec, int) {
 	cell := core.Spec{Samples: c.samples, Seed: c.seed,
-		NoCheckpoints: c.nockpt, NoDelta: c.nodelta, Forensics: c.forensics.mode,
+		NoCheckpoints: c.nockpt, Forensics: c.forensics.mode,
 		WallTimeout: c.wallTimeout}
 	var specs []core.Spec
 	if c.all {

@@ -327,6 +327,9 @@ func TestUnusedFlagsRejected(t *testing.T) {
 		{[]string{"-join", "h", "-nockpt"}, "-nockpt is not used in join mode"},
 		{[]string{"-watch", "h", "-submit", "h"}, "-submit and -watch are mutually exclusive"},
 		{[]string{"-profile", "d", "-comp", "L1D"}, "-comp is not used in profile mode"},
+		// A profile observes one fresh golden run, so no execution-strategy
+		// knob applies to it.
+		{[]string{"-profile", "d", "-nockpt"}, "-nockpt is not used in profile mode"},
 	} {
 		code, _, stderr := runGefin(t, tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.want) {
@@ -378,12 +381,12 @@ func TestRealInvocationsResolve(t *testing.T) {
 	}
 }
 
-// TestGridCarriesNoDelta: -nodelta reaches every cell of an -all grid, not
-// only a single cell.
-func TestGridCarriesNoDelta(t *testing.T) {
+// TestGridCarriesNoCheckpoints: -nockpt reaches every cell of an -all
+// grid, not only a single cell.
+func TestGridCarriesNoCheckpoints(t *testing.T) {
 	for _, line := range []string{
-		"-all -comp L1D -workload CRC32 -samples 1 -nodelta",
-		"-comp L1D -workload CRC32 -samples 1 -nodelta",
+		"-all -comp L1D -workload CRC32 -samples 1 -nockpt",
+		"-comp L1D -workload CRC32 -samples 1 -nockpt",
 	} {
 		c, _ := parseArgs(strings.Fields(line), io.Discard)
 		specs, code := buildSpecs(io.Discard, c)
@@ -391,8 +394,8 @@ func TestGridCarriesNoDelta(t *testing.T) {
 			t.Fatalf("%s: code=%d, %d specs", line, code, len(specs))
 		}
 		for _, s := range specs {
-			if !s.NoDelta {
-				t.Errorf("%s: spec %+v lost NoDelta", line, s)
+			if !s.NoCheckpoints {
+				t.Errorf("%s: spec %+v lost NoCheckpoints", line, s)
 			}
 		}
 	}

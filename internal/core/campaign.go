@@ -52,13 +52,13 @@ type Spec struct {
 	// memory on very large configurations.
 	NoCheckpoints bool
 
-	// NoDelta forces every checkpointed run to build a fresh machine and
-	// fully restore it from the checkpoint snapshot, instead of reusing one
-	// machine per worker and rewinding only the state the previous sample
-	// dirtied (sim.Machine.RestoreDelta). The two paths produce identical
-	// outcomes; this knob exists for A/B verification of the delta-restore
-	// fast path. Implied by NoCheckpoints (there is no checkpoint to delta
-	// against).
+	// NoDelta is ignored: it once selected a fresh, fully restored machine
+	// per sample instead of the worker's delta-restored one, and every
+	// checkpointed sample now takes its machine from the worker's
+	// Restorer. The field stays because it is part of the results-file
+	// JSON, whose encoding is pinned (TestEncodingPins) and read by other
+	// tools, and Equivalent keeps ignoring it so results written with it
+	// set still cover their cells on resume.
 	NoDelta bool
 
 	// Protect evaluates an error-protection scheme on the target structure
@@ -103,12 +103,12 @@ func (s Spec) Normalize() Spec {
 
 // Equivalent reports whether two specs describe the same campaign cell with
 // the same outcome distribution: every field that can change a classified
-// result must match after normalization. NoCheckpoints, NoDelta and
-// Forensics are excluded — they select execution strategy and observation
-// only, and the simulator guarantees identical outcomes across them — so a
-// result produced under one may stand in for the others. This is the
-// identity that resume (ResultSet.Covers) and distributed submit
-// verification trust.
+// result must match after normalization. NoCheckpoints and Forensics are
+// excluded — they select execution strategy and observation only, and the
+// simulator guarantees identical outcomes across them — and so is the
+// ignored NoDelta, so a result produced under one may stand in for the
+// others. This is the identity that resume (ResultSet.Covers) and
+// distributed submit verification trust.
 func (s Spec) Equivalent(o Spec) bool {
 	a, b := s.Normalize(), o.Normalize()
 	a.NoCheckpoints, b.NoCheckpoints = false, false
@@ -196,6 +196,14 @@ func Run(ctx context.Context, spec Spec, progress Progress) (*Result, error) {
 	return run(ctx, spec, progress, 0, nil)
 }
 
+// job is one pre-drawn sample: its injection cycle, its mask seed and its
+// index, the sample's identity in traces and progress accounting.
+type job struct {
+	injectAt uint64
+	maskSeed uint64
+	idx      int
+}
+
 // run is Run with an explicit sample-worker bound and an optional
 // telemetry sink; workers <= 0 means GOMAXPROCS. RunGrid uses the bound to
 // share cores fairly across cells running in parallel. tel may be nil
@@ -209,47 +217,18 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	w, err := workloads.ByName(spec.Workload)
+	c, err := newCell(spec, tel)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := w.Reference()
-	if err != nil {
-		return nil, err
-	}
-	// Validate the component and geometry once, on a probe machine.
-	probe, err := w.NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	probeTarget, err := TargetFor(probe, spec.Component)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Spec:         spec,
-		GoldenCycles: golden.Cycles,
-		TargetBits:   probeTarget.Rows() * probeTarget.Cols(),
-	}
-	limit := uint64(spec.TimeoutFactor * float64(golden.Cycles))
 
 	// Pre-draw per-run randomness deterministically so results do not
-	// depend on worker scheduling. idx is the sample's identity in traces
-	// and progress accounting, fixed before any reordering below.
-	type job struct {
-		injectAt uint64
-		maskSeed uint64
-		idx      int
-	}
+	// depend on worker scheduling; a job's idx is fixed before any
+	// reordering below.
 	seedRNG := rand.New(rand.NewPCG(spec.Seed, 0x9E3779B97F4A7C15))
 	jobs := make([]job, spec.Samples)
 	for i := range jobs {
-		jobs[i] = job{
-			injectAt: seedRNG.Uint64N(golden.Cycles),
-			maskSeed: seedRNG.Uint64(),
-			idx:      i,
-		}
+		jobs[i] = job{injectAt: seedRNG.Uint64N(c.golden.Cycles), maskSeed: seedRNG.Uint64(), idx: i}
 	}
 	// Dispatch jobs in injection-cycle order: samples that restore from the
 	// same golden checkpoint become adjacent, so a worker's delta-restored
@@ -260,14 +239,6 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 	// are bit-identical to index-order dispatch.
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].injectAt < jobs[j].injectAt })
 
-	// Build the workload's checkpoint set before the workers start so the
-	// one-time construction cost is not paid under the first worker's run.
-	if !spec.NoCheckpoints {
-		if _, err := w.CheckpointCycles(); err != nil {
-			return nil, err
-		}
-	}
-
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -275,7 +246,7 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 		workers = spec.Samples
 	}
 	// Lock-free job dispatch: workers claim jobs off an atomic counter and
-	// accumulate effect counts locally, merged after the pool drains, so
+	// accumulate into their own sampler, merged after the pool drains, so
 	// neither dispatch, counting nor the progress callback serializes the
 	// workers on a shared mutex. Cancellation is checked between samples:
 	// individual runs are short (milliseconds at the scaled geometry), so a
@@ -286,174 +257,136 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 		completed atomic.Int64
 		failed    atomic.Bool
 	)
-	workerCounts := make([][NumEffects]int, workers)
-	workerErrs := make([]error, workers)
-	// Per-worker trace buffers: records accumulate locally (no shared lock
-	// on the sample path) and are merged, ordered by sample index, and
-	// flushed as one batch when the cell completes — so like the results
-	// file, the trace only ever holds complete cells.
-	var workerRecs [][]telemetry.SampleRecord
-	var workerFates [][]telemetry.FateRecord
-	if tel.Tracing() {
-		workerRecs = make([][]telemetry.SampleRecord, workers)
-		if spec.Forensics != forensics.ModeOff {
-			workerFates = make([][]telemetry.FateRecord, workers)
-		}
-	}
-	// Per-worker occupancy accumulators: the at-inject structure state is
-	// averaged across the cell's samples and published as one gauge pair.
-	type occAcc struct {
-		occSum, dirtySum float64
-		occN, dirtyN     int
-	}
-	var occAccs []occAcc
-	obsOcc := tel.Enabled()
-	if obsOcc {
-		occAccs = make([]occAcc, workers)
-	}
-	for wk := 0; wk < workers; wk++ {
+	samplers := make([]*sampler, workers)
+	for wk := range samplers {
+		s := newSampler(c)
+		samplers[wk] = s
 		wg.Add(1)
-		go func(wk int) {
+		go func() {
 			defer wg.Done()
-			local := &workerCounts[wk]
-			// Each worker owns a pair of delta-restoring machine caches
-			// (faulty + forensics shadow); the NoDelta / NoCheckpoints
-			// escape hatches leave them nil and runOne builds fresh
-			// machines as before.
-			var rst, shadowRst *workloads.Restorer
-			if !spec.NoCheckpoints && !spec.NoDelta {
-				rst = w.NewRestorer()
-				if spec.Forensics == forensics.ModeFull {
-					shadowRst = w.NewRestorer()
-				}
-			}
 			for !failed.Load() && ctx.Err() == nil {
 				j := int(next.Add(1)) - 1
 				if j >= len(jobs) {
 					return
 				}
-				i := jobs[j].idx
-				var start time.Time
-				if tel.Enabled() {
-					start = time.Now()
-				}
-				effect, meta, err := runOneRecovered(w, golden, spec, limit, jobs[j].injectAt, jobs[j].maskSeed, i, obsOcc, tel, rst, shadowRst)
-				if err != nil {
-					workerErrs[wk] = err
+				if s.err = s.runJob(jobs[j]); s.err != nil {
 					failed.Store(true)
 					return
-				}
-				local[effect]++
-				if tel.Enabled() {
-					rec := telemetry.SampleRecord{
-						Component: spec.Component, Workload: spec.Workload,
-						Faults: spec.Faults, Sample: i, Seed: spec.Seed,
-						InjectCycle: jobs[j].injectAt, MaskBits: meta.maskBits,
-						Checkpoint: meta.checkpoint, CyclesSkipped: meta.cyclesSkipped,
-						Outcome:    effect.Label(),
-						DurationNS: time.Since(start).Nanoseconds(),
-					}
-					tel.RecordSample(&rec)
-					if workerRecs != nil {
-						workerRecs[wk] = append(workerRecs[wk], rec)
-					}
-					if meta.hasReport {
-						fr := telemetry.FateRecord{
-							Component: spec.Component, Workload: spec.Workload,
-							Faults: spec.Faults, Sample: i, Seed: spec.Seed,
-							InjectCycle:   jobs[j].injectAt,
-							Mask:          maskPairs(meta.mask),
-							Fate:          meta.report.Fate.Label(),
-							FirstTouchLat: meta.report.FirstTouchLat,
-							DivergeCycle:  meta.report.DivergeCycle,
-							Outcome:       effect.Label(),
-						}
-						tel.RecordFate(&fr)
-						if workerFates != nil {
-							workerFates[wk] = append(workerFates[wk], fr)
-						}
-					}
-					if meta.hasOcc {
-						acc := &occAccs[wk]
-						acc.occSum += meta.occ
-						acc.occN++
-						if meta.hasDirty {
-							acc.dirtySum += meta.dirty
-							acc.dirtyN++
-						}
-					}
 				}
 				if progress != nil {
 					progress(int(completed.Add(1)), len(jobs))
 				}
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
-	for _, err := range workerErrs {
-		if err != nil {
-			return nil, err
+	for _, s := range samplers {
+		if s.err != nil {
+			return nil, s.err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for i := range workerCounts {
-		for e, n := range workerCounts[i] {
+	return c.merge(samplers), nil
+}
+
+// cell is what every sample of one campaign cell shares, derived once
+// before the workers start: the workload, its golden run, the spec with
+// defaults filled in, the cycle limit, the telemetry sink and, unless the
+// spec runs without checkpoints, the golden checkpoint set that samples
+// restore from and the convergence exit compares against.
+type cell struct {
+	w          *workloads.Workload
+	golden     *workloads.Golden
+	spec       Spec
+	limit      uint64
+	targetBits int
+	tel        *telemetry.Campaign
+
+	ckCycles []uint64 // nil under NoCheckpoints
+	ckSnaps  []*sim.Snapshot
+}
+
+// newCell resolves spec (already defaulted and validated) into its cell.
+// The component and geometry are checked once, on a probe machine, and the
+// checkpoint set is built here so its one-time cost is not paid under the
+// first worker's sample.
+func newCell(spec Spec, tel *telemetry.Campaign) (*cell, error) {
+	w, err := workloads.ByName(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	golden, err := w.Reference()
+	if err != nil {
+		return nil, err
+	}
+	probe, err := w.NewMachine()
+	if err != nil {
+		return nil, err
+	}
+	probeTarget, err := TargetFor(probe, spec.Component)
+	if err != nil {
+		return nil, err
+	}
+	c := &cell{
+		w: w, golden: golden, spec: spec, tel: tel,
+		limit:      uint64(spec.TimeoutFactor * float64(golden.Cycles)),
+		targetBits: probeTarget.Rows() * probeTarget.Cols(),
+	}
+	if !spec.NoCheckpoints {
+		if c.ckCycles, c.ckSnaps, err = w.GoldenCheckpoints(); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// merge sums the samplers' counts into the cell's Result and publishes
+// its telemetry: the trace records in sample order (like the results file,
+// the trace only ever holds complete cells) and the at-inject occupancy
+// averaged over the cell's samples as one gauge pair.
+func (c *cell) merge(samplers []*sampler) *Result {
+	res := &Result{Spec: c.spec, GoldenCycles: c.golden.Cycles, TargetBits: c.targetBits}
+	var recs []telemetry.SampleRecord
+	var fates []telemetry.FateRecord
+	var occ occAcc
+	for _, s := range samplers {
+		for e, n := range s.counts {
 			res.Counts[e] += n
 		}
+		recs = append(recs, s.recs...)
+		fates = append(fates, s.fates...)
+		occ.occSum += s.occ.occSum
+		occ.occN += s.occ.occN
+		occ.dirtySum += s.occ.dirtySum
+		occ.dirtyN += s.occ.dirtyN
 	}
-	if tel.Enabled() {
-		var recs []telemetry.SampleRecord
-		for _, wr := range workerRecs {
-			recs = append(recs, wr...)
-		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Sample < recs[j].Sample })
-		var fates []telemetry.FateRecord
-		for _, wf := range workerFates {
-			fates = append(fates, wf...)
-		}
-		sort.Slice(fates, func(i, j int) bool { return fates[i].Sample < fates[j].Sample })
-		tel.FlushCell(recs, fates)
-		var occSum, dirtySum float64
-		var occN, dirtyN int
-		for i := range occAccs {
-			occSum += occAccs[i].occSum
-			occN += occAccs[i].occN
-			dirtySum += occAccs[i].dirtySum
-			dirtyN += occAccs[i].dirtyN
-		}
-		if occN > 0 {
-			meanDirty := 0.0
-			if dirtyN > 0 {
-				meanDirty = dirtySum / float64(dirtyN)
-			}
-			tel.SetCellOccupancy(spec.Component, spec.Workload, spec.Faults,
-				occSum/float64(occN), meanDirty, dirtyN > 0)
-		}
+	if !c.tel.Enabled() {
+		return res
 	}
-	return res, nil
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Sample < recs[j].Sample })
+	sort.Slice(fates, func(i, j int) bool { return fates[i].Sample < fates[j].Sample })
+	c.tel.FlushCell(recs, fates)
+	if occ.occN > 0 {
+		meanDirty := 0.0
+		if occ.dirtyN > 0 {
+			meanDirty = occ.dirtySum / float64(occ.dirtyN)
+		}
+		c.tel.SetCellOccupancy(c.spec.Component, c.spec.Workload, c.spec.Faults,
+			occ.occSum/float64(occ.occN), meanDirty, occ.dirtyN > 0)
+	}
+	return res
+}
+
+// occAcc sums the at-inject structure occupancy over a worker's samples.
+type occAcc struct {
+	occSum, dirtySum float64
+	occN, dirtyN     int
 }
 
 // maxSpanningTries bounds the rejection sampling of ForceSpanning masks.
 const maxSpanningTries = 1000
-
-// sampleScratch holds the per-sample scratch state of the hot sample path:
-// the mask RNG (reseeded for every sample, so one PCG serves them all), the
-// Fisher-Yates permutation buffer and the mask cell buffer. Pooling it
-// removes every mask-drawing allocation from runOne; the machines
-// themselves are already reused through each worker's Restorer.
-type sampleScratch struct {
-	pcg   *rand.PCG
-	rng   *rand.Rand
-	idx   []int
-	cells []Cell
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	pcg := rand.NewPCG(0, 0)
-	return &sampleScratch{pcg: pcg, rng: rand.New(pcg)}
-}}
 
 // maskPairs encodes a mask as the [row, col] pairs of the trace schema.
 func maskPairs(m Mask) [][2]int {
@@ -464,186 +397,207 @@ func maskPairs(m Mask) [][2]int {
 	return out
 }
 
-// runMeta carries the per-sample facts the trace and metrics layers need
-// beyond the classified effect: which golden checkpoint the run restored
-// (and how much replay it saved), how many mask bits were live after
-// protection filtering, the resolved fault lifecycle when forensics is on,
-// and the target's occupancy state sampled at injection time.
-type runMeta struct {
-	checkpoint    int // restored checkpoint index; -1 when checkpointing is off
-	cyclesSkipped uint64
-	maskBits      int
-
-	mask      Mask // the applied mask; only retained when hasReport
-	report    forensics.Report
-	hasReport bool
-
-	occ, dirty       float64 // valid / dirty fraction at inject time
-	hasOcc, hasDirty bool
-}
-
 // testSampleHook, when non-nil, runs at the top of every sample inside the
 // recovery guard. It exists only for tests, which use it to inject panics
 // and wall-clock stalls into the sample path.
 var testSampleHook func(spec Spec, sample int)
 
-// runOneRecovered is runOne behind a panic guard: a panicking sample (a
-// simulator bug, a pathological machine state) becomes that cell's error —
-// counted under gefin_worker_panics_total and surfaced once through the
-// Run/RunGrid error path — instead of aborting the whole process. With
-// cells dispatched across machines, a process abort would kill every cell
-// the process holds; a clean per-cell error lets the campaign retry or
-// fail just the one cell.
-func runOneRecovered(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, injectAt, maskSeed uint64, sample int, obsOcc bool, tel *telemetry.Campaign, rst, shadowRst *workloads.Restorer) (effect Effect, meta runMeta, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			tel.RecordWorkerPanic()
-			err = fmt.Errorf("core: %s/%s/%d-bit sample %d panicked: %v\n%s",
-				spec.Component, spec.Workload, spec.Faults, sample, r, debug.Stack())
-		}
-	}()
-	if testSampleHook != nil {
-		testSampleHook(spec, sample)
-	}
-	return runOne(w, golden, spec, limit, injectAt, maskSeed, obsOcc, rst, shadowRst)
+// sampler is one sample worker of a cell and the single owner of its
+// state: the worker's Restorers (one machine each, rewound by delta
+// restore between samples), the mask RNG and scratch buffers, the sample
+// in flight, and the worker's counts, error, trace records and occupancy
+// sums, which run merges once the pool drains. A sampler belongs to one
+// goroutine.
+type sampler struct {
+	*cell
+
+	// rst supplies the faulty machine, shadowRst the full-forensics
+	// shadow; both are nil under NoCheckpoints, where every sample builds
+	// a fresh machine and replays from cycle 0.
+	rst, shadowRst *workloads.Restorer
+
+	pcg   *rand.PCG // reseeded for every sample, so one PCG serves them all
+	rng   *rand.Rand
+	masks maskScratch
+
+	// The sample in flight: what the inject and stepShadow hooks read, and
+	// the facts record reports beyond the classified effect — which golden
+	// checkpoint the run restored (-1 without checkpoints), how many mask
+	// bits were live after protection filtering, and under forensics the
+	// resolved fault lifecycle of mask.
+	target        Target
+	mask          Mask
+	shadow        *sim.Machine
+	tr            *forensics.Tracker
+	attachErr     error
+	checkpoint    int
+	cyclesSkipped uint64
+	maskBits      int
+	fate          forensics.Report
+	hasFate       bool
+
+	counts [NumEffects]int
+	err    error
+	recs   []telemetry.SampleRecord // only when tracing
+	fates  []telemetry.FateRecord
+	occ    occAcc
 }
 
-// runOne performs a single fault-injection simulation. Unless the spec
-// forbids it, the machine is fast-forwarded from the workload's nearest
-// golden checkpoint at or before the injection cycle instead of replaying
-// the whole golden prefix from cycle 0, and comes from the worker's
-// Restorer (rst), which rewinds one long-lived machine by delta restore
-// instead of building a fresh one per sample. All the paths are
-// bit-identical because checkpoints capture the complete machine state and
-// execution is deterministic.
-func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, injectAt, maskSeed uint64, obsOcc bool, rst, shadowRst *workloads.Restorer) (Effect, runMeta, error) {
-	meta := runMeta{checkpoint: -1}
-	var m *sim.Machine
-	var err error
-	switch {
-	case spec.NoCheckpoints:
-		m, err = w.NewMachine()
-	case rst != nil:
-		var ck workloads.Checkpoint
-		m, ck, err = rst.MachineAt(injectAt)
-		meta.checkpoint = ck.Index
-		meta.cyclesSkipped = ck.Cycle
-	default:
-		var ck workloads.Checkpoint
-		m, ck, err = w.MachineAt(injectAt)
-		meta.checkpoint = ck.Index
-		meta.cyclesSkipped = ck.Cycle
+func newSampler(c *cell) *sampler {
+	pcg := rand.NewPCG(0, 0)
+	s := &sampler{cell: c, pcg: pcg, rng: rand.New(pcg)}
+	if !c.spec.NoCheckpoints {
+		s.rst = c.w.NewRestorer()
+		if c.spec.Forensics == forensics.ModeFull {
+			s.shadowRst = c.w.NewRestorer()
+		}
 	}
+	return s
+}
+
+// runJob runs one sample behind a panic guard and records it. A panicking
+// sample (a simulator bug, a pathological machine state) becomes that
+// cell's error — counted under gefin_worker_panics_total and surfaced once
+// through the Run/RunGrid error path — instead of aborting the whole
+// process. With cells dispatched across machines, a process abort would
+// kill every cell the process holds; a clean per-cell error lets the
+// campaign retry or fail just the one cell.
+func (s *sampler) runJob(j job) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.tel.RecordWorkerPanic()
+			err = fmt.Errorf("core: %s/%s/%d-bit sample %d panicked: %v\n%s",
+				s.spec.Component, s.spec.Workload, s.spec.Faults, j.idx, r, debug.Stack())
+		}
+	}()
+	var start time.Time
+	if s.tel.Enabled() {
+		start = time.Now()
+	}
+	if testSampleHook != nil {
+		testSampleHook(s.spec, j.idx)
+	}
+	effect, err := s.sample(j.injectAt, j.maskSeed)
 	if err != nil {
-		return 0, meta, err
+		return err
 	}
-	target, err := TargetFor(m, spec.Component)
+	s.counts[effect]++
+	if s.tel.Enabled() {
+		s.record(j, effect, time.Since(start))
+	}
+	return nil
+}
+
+// record hands the finished sample to telemetry and keeps its trace
+// records for the cell's merge.
+func (s *sampler) record(j job, effect Effect, d time.Duration) {
+	spec := &s.spec
+	rec := telemetry.SampleRecord{
+		Component: spec.Component, Workload: spec.Workload,
+		Faults: spec.Faults, Sample: j.idx, Seed: spec.Seed,
+		InjectCycle: j.injectAt, MaskBits: s.maskBits,
+		Checkpoint: s.checkpoint, CyclesSkipped: s.cyclesSkipped,
+		Outcome:    effect.Label(),
+		DurationNS: d.Nanoseconds(),
+	}
+	s.tel.RecordSample(&rec)
+	if s.tel.Tracing() {
+		s.recs = append(s.recs, rec)
+	}
+	if s.hasFate {
+		fr := telemetry.FateRecord{
+			Component: spec.Component, Workload: spec.Workload,
+			Faults: spec.Faults, Sample: j.idx, Seed: spec.Seed,
+			InjectCycle:   j.injectAt,
+			Mask:          maskPairs(s.mask),
+			Fate:          s.fate.Fate.Label(),
+			FirstTouchLat: s.fate.FirstTouchLat,
+			DivergeCycle:  s.fate.DivergeCycle,
+			Outcome:       effect.Label(),
+		}
+		s.tel.RecordFate(&fr)
+		if s.tel.Tracing() {
+			s.fates = append(s.fates, fr)
+		}
+	}
+}
+
+// machineAt returns a machine ready to run a sample injected at injectAt:
+// rst's machine rewound to the latest golden checkpoint at or before it,
+// or, when rst is nil (NoCheckpoints), a fresh machine at cycle 0 that
+// replays the whole golden prefix — the oracle that cross-checks the
+// checkpointed path end to end.
+func (s *sampler) machineAt(rst *workloads.Restorer, injectAt uint64) (*sim.Machine, workloads.Checkpoint, error) {
+	if rst == nil {
+		m, err := s.w.NewMachine()
+		return m, workloads.Checkpoint{Index: -1}, err
+	}
+	return rst.MachineAt(injectAt)
+}
+
+// sample performs a single fault-injection simulation and leaves its facts
+// in the sampler. The checkpointed and NoCheckpoints paths are bit-identical
+// because checkpoints capture the complete machine state and execution is
+// deterministic.
+func (s *sampler) sample(injectAt, maskSeed uint64) (Effect, error) {
+	spec := &s.spec
+	s.shadow, s.tr, s.attachErr, s.hasFate = nil, nil, nil, false
+	m, ck, err := s.machineAt(s.rst, injectAt)
+	s.checkpoint, s.cyclesSkipped = ck.Index, ck.Cycle
 	if err != nil {
-		return 0, meta, err
+		return 0, err
 	}
-	sc := scratchPool.Get().(*sampleScratch)
-	defer scratchPool.Put(sc)
-	sc.pcg.Seed(maskSeed, 0xDEADBEEFCAFEF00D)
-	rng := sc.rng
-	// Forensics retains the mask beyond the sample (trace records), so it
-	// must own its cells; the hot path borrows the scratch buffer instead.
-	msc := sc
-	if spec.Forensics != forensics.ModeOff {
-		msc = nil
+	if s.target, err = TargetFor(m, spec.Component); err != nil {
+		return 0, err
 	}
-	mask := generateMask(rng, target.Rows(), target.Cols(), spec.Faults, spec.Cluster, msc)
+	// The mask lives in the sampler's scratch buffers until the next draw;
+	// record copies what the trace keeps.
+	s.pcg.Seed(maskSeed, 0xDEADBEEFCAFEF00D)
+	rows, cols := s.target.Rows(), s.target.Cols()
+	mask := generateMask(s.rng, rows, cols, spec.Faults, spec.Cluster, &s.masks)
 	if spec.ForceSpanning {
 		for tries := 0; !mask.Spanning(spec.Cluster) && tries < maxSpanningTries; tries++ {
-			mask = generateMask(rng, target.Rows(), target.Cols(), spec.Faults, spec.Cluster, msc)
+			mask = generateMask(s.rng, rows, cols, spec.Faults, spec.Cluster, &s.masks)
 		}
 		if !mask.Spanning(spec.Cluster) {
 			// Silently running a non-spanning mask would violate the
 			// ablation's contract; fail loudly instead (e.g. a single-bit
 			// fault can never span a multi-row, multi-column cluster).
-			return 0, meta, fmt.Errorf("core: no spanning %d-bit mask in a %dx%d cluster after %d draws",
+			return 0, fmt.Errorf("core: no spanning %d-bit mask in a %dx%d cluster after %d draws",
 				spec.Faults, spec.Cluster.Rows, spec.Cluster.Cols, maxSpanningTries)
 		}
 	}
 	if spec.Protect.Kind != ProtectNone {
 		fr := spec.Protect.Filter(mask)
-		meta.maskBits = len(fr.Surviving.Cells)
+		s.maskBits = len(fr.Surviving.Cells)
 		switch {
 		case fr.Detected:
 			// Uncorrectable error signalled: machine-check abort
 			// (pessimistic: modeled at injection time, see protect.go).
 			// Forensically, the abort fires before any corrupted bit can
 			// reach the datapath.
-			if spec.Forensics != forensics.ModeOff {
-				meta.mask = mask
-				meta.report = forensics.Report{Fate: forensics.FateNeverTouched, FirstTouchLat: -1}
-				meta.hasReport = true
-			}
-			return EffectCrash, meta, nil
+			s.reportFate(mask, forensics.Report{Fate: forensics.FateNeverTouched, FirstTouchLat: -1})
+			return EffectCrash, nil
 		case len(fr.Surviving.Cells) == 0:
 			// Everything corrected: by construction the run is the golden
 			// run; skip the simulation. The scrub overwrote every flip.
-			if spec.Forensics != forensics.ModeOff {
-				meta.mask = mask
-				meta.report = forensics.Report{Fate: forensics.FateOverwritten, FirstTouchLat: 0}
-				meta.hasReport = true
-			}
-			return EffectMasked, meta, nil
+			s.reportFate(mask, forensics.Report{Fate: forensics.FateOverwritten, FirstTouchLat: 0})
+			return EffectMasked, nil
 		}
 		mask = fr.Surviving
 	}
-	meta.maskBits = len(mask.Cells)
+	s.mask = mask
+	s.maskBits = len(mask.Cells)
 
 	// A full-forensics run replays a second, fault-free machine from the
 	// same checkpoint in lockstep with the faulty one and records the first
-	// cycle their architectural digests differ. A timing-only divergence
-	// (same eventual output, different stall pattern) counts: the digest
-	// compares per-cycle progress, so the recorded cycle is a conservative
-	// earliest bound on architectural visibility.
-	var shadow *sim.Machine
-	if spec.Forensics == forensics.ModeFull {
-		switch {
-		case spec.NoCheckpoints:
-			shadow, err = w.NewMachine()
-		case shadowRst != nil:
-			shadow, _, err = shadowRst.MachineAt(injectAt)
-		default:
-			shadow, _, err = w.MachineAt(injectAt)
-		}
-		if err != nil {
-			return 0, meta, err
-		}
-	}
-
-	var (
-		tr        *forensics.Tracker
-		attachErr error
-	)
-	inject := func(*sim.Machine) {
-		if obsOcc {
-			st := liveness.StructState(target)
-			meta.occ, meta.hasOcc = st.Occ, st.HasOcc
-			meta.dirty, meta.hasDirty = st.Dirty, st.HasDirty
-		}
-		mask.Apply(target)
-		if spec.Forensics != forensics.ModeOff {
-			t := forensics.NewTracker(m.Core.Cycles)
-			cells := make([]forensics.BitCell, len(mask.Cells))
-			for i, c := range mask.Cells {
-				cells[i] = forensics.BitCell{Row: c.Row, Col: c.Col}
-			}
-			if attachErr = t.Attach(target, cells); attachErr == nil {
-				tr = t
-			}
-		}
-	}
+	// cycle their architectural digests differ (stepShadow).
 	var onCycle func(*sim.Machine)
-	if shadow != nil {
-		onCycle = func(mm *sim.Machine) {
-			shadow.Core.Cycle()
-			if tr != nil && !tr.Diverged() && mm.ArchDigest() != shadow.ArchDigest() {
-				tr.MarkDiverged()
-			}
+	if spec.Forensics == forensics.ModeFull {
+		if s.shadow, _, err = s.machineAt(s.shadowRst, injectAt); err != nil {
+			return 0, err
 		}
+		onCycle = s.stepShadow
 	}
 	// The wall-clock watchdog bounds the simulation loop itself; machine
 	// construction and checkpoint restore are excluded (they are bounded by
@@ -660,25 +614,71 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 	// observe the fault's lifecycle, which the exit would truncate.
 	var out sim.Outcome
 	if !spec.NoCheckpoints && spec.Forensics == forensics.ModeOff {
-		out = runToConvergence(w, m, golden, limit, injectAt, inject, deadline)
+		out = s.runToConvergence(m, injectAt, s.inject, deadline)
 	} else {
-		out = m.RunWatched(limit, injectAt, inject, onCycle, deadline)
+		out = m.RunWatched(s.limit, injectAt, s.inject, onCycle, deadline)
 	}
 	// Probes are wiring, not snapshot state: detach this sample's tracker
 	// so the worker's reused machine runs the next sample unprobed.
-	if tr != nil {
-		tr.Detach()
+	if s.tr != nil {
+		s.tr.Detach()
 	}
-	if attachErr != nil {
-		return 0, meta, attachErr
+	if s.attachErr != nil {
+		return 0, s.attachErr
 	}
-	eff := Classify(out, golden)
-	if tr != nil {
-		meta.mask = mask
-		meta.report = tr.Resolve(eff == EffectMasked)
-		meta.hasReport = true
+	eff := Classify(out, s.golden)
+	if s.tr != nil {
+		s.reportFate(mask, s.tr.Resolve(eff == EffectMasked))
 	}
-	return eff, meta, nil
+	return eff, nil
+}
+
+// reportFate records the resolved fault lifecycle of mask when forensics
+// is on.
+func (s *sampler) reportFate(mask Mask, fate forensics.Report) {
+	if s.spec.Forensics != forensics.ModeOff {
+		s.mask, s.fate, s.hasFate = mask, fate, true
+	}
+}
+
+// inject is the faulty run's injection hook: it adds the target's
+// occupancy to the telemetry sums, flips the mask and, under forensics,
+// attaches a fate tracker to the flipped bits.
+func (s *sampler) inject(m *sim.Machine) {
+	if s.tel.Enabled() {
+		if st := liveness.StructState(s.target); st.HasOcc {
+			s.occ.occSum += st.Occ
+			s.occ.occN++
+			if st.HasDirty {
+				s.occ.dirtySum += st.Dirty
+				s.occ.dirtyN++
+			}
+		}
+	}
+	s.mask.Apply(s.target)
+	if s.spec.Forensics != forensics.ModeOff {
+		t := forensics.NewTracker(m.Core.Cycles)
+		cells := make([]forensics.BitCell, len(s.mask.Cells))
+		for i, c := range s.mask.Cells {
+			cells[i] = forensics.BitCell{Row: c.Row, Col: c.Col}
+		}
+		if s.attachErr = t.Attach(s.target, cells); s.attachErr == nil {
+			s.tr = t
+		}
+	}
+}
+
+// stepShadow is the full-forensics per-cycle hook: it steps the fault-free
+// shadow in lockstep with the faulty machine and marks the first cycle
+// their architectural digests differ. A timing-only divergence (same
+// eventual output, different stall pattern) counts: the digest compares
+// per-cycle progress, so the recorded cycle is a conservative earliest
+// bound on architectural visibility.
+func (s *sampler) stepShadow(m *sim.Machine) {
+	s.shadow.Core.Cycle()
+	if s.tr != nil && !s.tr.Diverged() && m.ArchDigest() != s.shadow.ArchDigest() {
+		s.tr.MarkDiverged()
+	}
 }
 
 // runToConvergence runs the faulty machine like RunWatched, but pauses at
@@ -690,16 +690,12 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 // every counter and replacement stamp must match — so a fault that leaves
 // any trace, architectural or timing, runs to completion as before, and the
 // returned outcome is bit-identical to RunWatched's in every case.
-func runToConvergence(w *workloads.Workload, m *sim.Machine, golden *workloads.Golden, limit, injectAt uint64, inject func(*sim.Machine), deadline time.Time) sim.Outcome {
-	cycles, snaps, err := w.GoldenCheckpoints()
-	if err != nil {
-		return m.RunWatched(limit, injectAt, inject, nil, deadline)
-	}
+func (c *cell) runToConvergence(m *sim.Machine, injectAt uint64, inject func(*sim.Machine), deadline time.Time) sim.Outcome {
 	// First checkpoint strictly after the injection cycle: earlier ones
 	// cannot witness the fault, later ones are visited in order below.
-	for idx := sort.Search(len(cycles), func(i int) bool { return cycles[i] > injectAt }); idx < len(cycles); idx++ {
-		seg := cycles[idx]
-		if limit > 0 && seg >= limit {
+	for idx := sort.Search(len(c.ckCycles), func(i int) bool { return c.ckCycles[i] > injectAt }); idx < len(c.ckCycles); idx++ {
+		seg := c.ckCycles[idx]
+		if c.limit > 0 && seg >= c.limit {
 			break
 		}
 		out := m.RunWatched(seg, injectAt, inject, nil, deadline)
@@ -707,17 +703,17 @@ func runToConvergence(w *workloads.Workload, m *sim.Machine, golden *workloads.G
 		if !out.TimedOut || out.WallTimedOut {
 			return out // stopped (or was wall-killed) before the crossing
 		}
-		if m.EqualsSnapshot(snaps[idx]) {
+		if m.EqualsSnapshot(c.ckSnaps[idx]) {
 			return sim.Outcome{
 				Stop:      cpu.StopExit,
-				ExitCode:  golden.ExitCode,
-				Stdout:    golden.Stdout,
-				Cycles:    golden.Cycles,
-				Committed: golden.Committed,
+				ExitCode:  c.golden.ExitCode,
+				Stdout:    c.golden.Stdout,
+				Cycles:    c.golden.Cycles,
+				Committed: c.golden.Committed,
 			}
 		}
 	}
-	return m.RunWatched(limit, injectAt, inject, nil, deadline)
+	return m.RunWatched(c.limit, injectAt, inject, nil, deadline)
 }
 
 // CellKey identifies one campaign cell inside a ResultSet.

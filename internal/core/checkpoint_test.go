@@ -29,6 +29,9 @@ func TestCheckpointEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			limit := 4 * golden.Cycles
+			// One Restorer serves every restore below, so the later ones
+			// rewind its machine by delta restore, as a campaign worker's do.
+			rst := w.NewRestorer()
 			for fi, frac := range fractions {
 				injectAt := uint64(frac * float64(golden.Cycles))
 
@@ -39,7 +42,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := scratch.Run(limit, 0, nil)
-				ff, ck, err := w.MachineAt(injectAt)
+				ff, ck, err := rst.MachineAt(injectAt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +71,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantF := scratch2.Run(limit, injectAt, inject)
-				ff2, _, err := w.MachineAt(injectAt)
+				ff2, _, err := rst.MachineAt(injectAt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,28 +145,31 @@ func TestTargetBitsPopulation(t *testing.T) {
 	}
 }
 
-// TestCampaignPathEquivalence pins the three machine-management paths of
-// the sample loop against each other at full campaign granularity: the
-// default path (checkpoint fast-forward + per-worker delta-restored
-// machine + convergence exit), the NoDelta path (checkpoint fast-forward
-// into a fresh machine per sample) and the NoCheckpoints path (replay from
-// cycle 0, no convergence exit) must classify every sample identically.
-// L1I cells exercise the predecode-invalidation rule across all paths:
-// I-side corruption must force the slow decode path identically whether
-// the machine was built fresh or rewound by delta restore. The delta and
-// full-restore results must also be byte-identical once serialized.
+// TestCampaignPathEquivalence pins the two machine sources of the sample
+// loop against each other at full campaign granularity: the default path
+// (checkpoint fast-forward by the worker's delta-restored machine +
+// convergence exit) and the NoCheckpoints path (a fresh machine replaying
+// from cycle 0, no convergence exit) must classify every sample
+// identically and, once the NoCheckpoints knob is cleared, encode
+// byte-identically. L1I cells exercise the predecode-invalidation rule
+// across both paths: I-side corruption must force the slow decode path
+// identically whether the machine was built fresh or rewound by delta
+// restore.
 func TestCampaignPathEquivalence(t *testing.T) {
 	ctx := context.Background()
+	encode := func(r *Result) []byte {
+		rs := NewResultSet()
+		rs.Add(r)
+		enc, err := rs.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
 	for _, comp := range []string{CompL1I, CompL1D} {
 		base := Spec{Workload: "stringSearch", Component: comp, Faults: 2, Samples: 24, Seed: 11}
 
 		def, err := Run(ctx, base, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		noDelta := base
-		noDelta.NoDelta = true
-		nd, err := Run(ctx, noDelta, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,48 +179,30 @@ func TestCampaignPathEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		if def.Counts != nd.Counts {
-			t.Fatalf("%s: delta %v != full-restore %v", comp, def.Counts, nd.Counts)
-		}
 		if def.Counts != nc.Counts {
 			t.Fatalf("%s: delta %v != no-checkpoints %v", comp, def.Counts, nc.Counts)
 		}
-
-		// Byte-identical serialization: the NoDelta knob is the only
-		// intended difference between the two results.
-		nd.Spec.NoDelta = false
-		rsA, rsB := NewResultSet(), NewResultSet()
-		rsA.Add(def)
-		rsB.Add(nd)
-		encA, err := rsA.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		encB, err := rsB.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encA, encB) {
-			t.Fatalf("%s: delta and full-restore campaigns encode differently:\n%s\n---\n%s", comp, encA, encB)
+		nc.Spec.NoCheckpoints = false
+		if encA, encB := encode(def), encode(nc); !bytes.Equal(encA, encB) {
+			t.Fatalf("%s: checkpointed and no-checkpoints campaigns encode differently:\n%s\n---\n%s", comp, encA, encB)
 		}
 
-		// Forensics rides the same machine paths (plus probes and, in full
-		// mode, a lockstep shadow); classified outcomes must not change.
+		// Forensics rides the same machine sources (plus probes); classified
+		// outcomes must not change on either.
 		fast := base
 		fast.Forensics = forensics.ModeFast
 		ff, err := Run(ctx, fast, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fastND := noDelta
-		fastND.Forensics = forensics.ModeFast
-		fn, err := Run(ctx, fastND, nil)
+		fastNC := noCkpt
+		fastNC.Forensics = forensics.ModeFast
+		fn, err := Run(ctx, fastNC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ff.Counts != def.Counts || fn.Counts != def.Counts {
-			t.Fatalf("%s: forensics changed classifications: off %v fast %v fast-nodelta %v",
+			t.Fatalf("%s: forensics changed classifications: off %v fast %v fast-nockpt %v",
 				comp, def.Counts, ff.Counts, fn.Counts)
 		}
 	}

@@ -88,6 +88,7 @@ func TestResultSetRoundTrip(t *testing.T) {
 	r1.Counts[EffectSDC] = 3
 	rs.Add(r1)
 	r2 := &Result{Spec: Spec{Workload: "sha", Component: CompITLB, Faults: 1, Samples: 10}}
+	r2.Counts[EffectMasked] = 10
 	rs.Add(r2)
 
 	data, err := json.Marshal(rs)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,15 +24,40 @@ func (rs *ResultSet) MarshalJSON() ([]byte, error) {
 	return json.Marshal(enc)
 }
 
-// UnmarshalJSON decodes a flat result list back into the cell map.
+// UnmarshalJSON decodes a flat result list back into the cell map,
+// rejecting any result that fails Result.Check.
 func (rs *ResultSet) UnmarshalJSON(data []byte) error {
 	var enc resultSetJSON
 	if err := json.Unmarshal(data, &enc); err != nil {
 		return err
 	}
 	rs.Cells = make(map[CellKey]*Result, len(enc.Results))
-	for _, r := range enc.Results {
+	for i, r := range enc.Results {
+		if err := r.Check(); err != nil {
+			return fmt.Errorf("result %d: %w", i, err)
+		}
 		rs.Add(r)
+	}
+	return nil
+}
+
+// Check reports whether the result can stand for its cell: it exists, no
+// count is negative, and the counts sum to the spec's sample count. A
+// results file and a worker's submission both arrive from outside the
+// process, and a result failing Check would skew every figure computed
+// from its cell.
+func (r *Result) Check() error {
+	if r == nil {
+		return errors.New("null result")
+	}
+	n, ok := 0, true
+	for _, c := range r.Counts {
+		ok = ok && c >= 0 && c <= r.Spec.Samples-n // n cannot overflow while ok holds
+		n += c
+	}
+	if !ok || n != r.Spec.Samples {
+		return fmt.Errorf("%s/%s/%d-bit: counts %v are negative or do not sum to %d samples",
+			r.Spec.Component, r.Spec.Workload, r.Spec.Faults, r.Counts, r.Spec.Samples)
 	}
 	return nil
 }
@@ -93,7 +119,8 @@ func (rs *ResultSet) Save(path string) error {
 }
 
 // LoadResultSet reads a results file written by Save (or any marshalled
-// ResultSet).
+// ResultSet). A file that does not decode, or holds a result failing
+// Result.Check, is an error naming the file.
 func LoadResultSet(path string) (*ResultSet, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -146,6 +147,77 @@ func TestLoadResultSetErrors(t *testing.T) {
 	if _, err := LoadResultSet(bad); err == nil {
 		t.Fatal("corrupt file loaded silently")
 	}
+}
+
+// TestLoadResultSetRejectsInconsistentResults: a results file whose list
+// holds a null entry, a negative count or counts that do not sum to the
+// cell's sample count is an error naming the file, never a panic and never
+// a cell that -resume or service replay would trust.
+func TestLoadResultSetRejectsInconsistentResults(t *testing.T) {
+	spec := `"Spec":{"Workload":"CRC32","Component":"L1D","Faults":1,"Samples":4,"Seed":1}`
+	for name, body := range map[string]string{
+		"null":     `{"Results":[null]}`,
+		"negative": `{"Results":[{` + spec + `,"Counts":[5,-1,0,0,0]}]}`,
+		"short":    `{"Results":[{` + spec + `,"Counts":[2,1,0,0,0]}]}`,
+		"long":     `{"Results":[{` + spec + `,"Counts":[4,1,0,0,0]}]}`,
+		"overflow": `{"Results":[{` + spec + `,"Counts":[9223372036854775807,9223372036854775807,2,0,0]}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadResultSet(path)
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: err = %v, want an error naming %s", name, err, path)
+		}
+	}
+	// The consistent cell those variants were made from still loads.
+	path := filepath.Join(t.TempDir(), "ok.json")
+	os.WriteFile(path, []byte(`{"Results":[{`+spec+`,"Counts":[3,1,0,0,0]}]}`), 0o644)
+	if _, err := LoadResultSet(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzLoadResultSet fuzzes the decode behind LoadResultSet: no input may
+// panic it, and every input it accepts must re-encode to a canonical form
+// that decodes and encodes again to the same bytes.
+func FuzzLoadResultSet(f *testing.F) {
+	rs := NewResultSet()
+	prot := fakeResult(CompL1D, "sha", 2, 40, 7)
+	prot.Spec.Protect = Protection{Kind: ProtectSECDED, Interleave: 4}
+	prot.Spec.Cluster = ClusterSpec{Rows: 2, Cols: 4}
+	rs.Add(prot)
+	rs.Add(fakeResult(CompDTLB, "CRC32", 1, 60, 9))
+	enc, err := rs.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add([]byte(`{"Results":[{"Spec":{"Workload":"CRC32","Component":"L1D","Faults":1,"Samples":120,"Seed":1},"Counts":[48,72,0,0,0],"GoldenCycles":1418830}]}`))
+	f.Add([]byte(`{"Results":[null]}`))
+	f.Add([]byte(`{"Results":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs := NewResultSet()
+		if json.Unmarshal(data, rs) != nil {
+			return
+		}
+		enc, err := rs.Encode()
+		if err != nil {
+			t.Fatalf("accepted set does not encode: %v", err)
+		}
+		back := NewResultSet()
+		if err := json.Unmarshal(enc, back); err != nil {
+			t.Fatalf("canonical encoding does not decode: %v\n%s", err, enc)
+		}
+		again, err := back.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("encoding not stable across a round trip:\n%s\n---\n%s", enc, again)
+		}
+	})
 }
 
 func TestCoversAndPending(t *testing.T) {

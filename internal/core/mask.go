@@ -36,13 +36,19 @@ func GenerateMask(rng *rand.Rand, rows, cols, k int, cluster ClusterSpec) Mask {
 	return generateMask(rng, rows, cols, k, cluster, nil)
 }
 
+// maskScratch holds the buffers generateMask draws into on the campaign's
+// hot sample path: the Fisher-Yates permutation and the mask's cells.
+type maskScratch struct {
+	idx   []int
+	cells []Cell
+}
+
 // generateMask is GenerateMask with an optional scratch holder: when sc is
 // non-nil, its buffers back the Fisher-Yates permutation and the returned
-// mask's cells, so the campaign's hot sample path draws masks without
-// allocating. The returned mask then aliases sc.cells and is only valid
-// until the scratch's next use — callers that retain masks (the forensics
-// trace) must pass nil.
-func generateMask(rng *rand.Rand, rows, cols, k int, cluster ClusterSpec, sc *sampleScratch) Mask {
+// mask's cells, so a sampler draws masks without allocating. The returned
+// mask then aliases sc.cells and is only valid until the scratch's next
+// use.
+func generateMask(rng *rand.Rand, rows, cols, k int, cluster ClusterSpec, sc *maskScratch) Mask {
 	if cluster.Rows <= 0 || cluster.Cols <= 0 {
 		panic("core: invalid cluster")
 	}

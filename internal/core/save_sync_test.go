@@ -27,7 +27,7 @@ func TestSaveSyncsFileAndDirectory(t *testing.T) {
 
 	rs := NewResultSet()
 	rs.Add(&Result{Spec: Spec{Workload: "stringSearch", Component: CompL1D,
-		Faults: 1, Samples: 1, Seed: 1}, GoldenCycles: 10, TargetBits: 64})
+		Faults: 1, Samples: 1, Seed: 1}, Counts: [NumEffects]int{EffectMasked: 1}, GoldenCycles: 10, TargetBits: 64})
 	if err := rs.Save(path); err != nil {
 		t.Fatal(err)
 	}

@@ -1,47 +1,36 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"mbusim/internal/workloads"
-)
-
-// TestSamplePathAllocs pins the pooled-scratch contract of the hot sample
+// TestSamplePathAllocs pins the scratch-reuse contract of the hot sample
 // path, in the style of telemetry's TestDisabledSamplePathZeroAllocs: with
-// checkpoints, delta restore and the pooled mask scratch all active, a
+// checkpoints, delta restore and the sampler's mask scratch all active, a
 // steady-state fault-injection sample performs only a handful of
-// unavoidable allocations (the injection closure plus whatever the faulty
-// run itself forces), independent of the workload's length. Machine
-// construction, mask drawing and RNG setup must all hit reused memory.
+// unavoidable allocations (whatever the faulty run itself forces),
+// independent of the workload's length. Machine construction, mask drawing
+// and RNG setup must all hit reused memory.
 func TestSamplePathAllocs(t *testing.T) {
 	spec := Spec{Workload: "stringSearch", Component: CompL1D, Faults: 2, Samples: 1, Seed: 9}.withDefaults()
-	w, err := workloads.ByName(spec.Workload)
+	c, err := newCell(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := w.Reference()
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit := uint64(spec.TimeoutFactor * float64(golden.Cycles))
-	rst := w.NewRestorer()
-	injectAt := golden.Cycles / 2
-	const maskSeed = 12345
+	s := newSampler(c)
+	j := job{injectAt: c.golden.Cycles / 2, maskSeed: 12345}
 
 	sample := func() {
-		if _, _, err := runOne(w, golden, spec, limit, injectAt, maskSeed, false, rst, nil); err != nil {
+		if err := s.runJob(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Warm up: build the restorer's machine, populate the scratch pool and
-	// grow every amortized buffer to its steady-state capacity.
+	// Warm up: build the restorer's machine and grow every amortized
+	// buffer to its steady-state capacity.
 	for i := 0; i < 3; i++ {
 		sample()
 	}
 	allocs := testing.AllocsPerRun(10, sample)
 
-	// The budget is deliberately tight: it covers the injection closure and
-	// its captures, nothing else. Growing past it means a per-sample
+	// The budget is deliberately tight. Growing past it means a per-sample
 	// allocation crept back into the hot path.
 	const budget = 8
 	if allocs > budget {

@@ -358,7 +358,9 @@ func (c *Coordinator) submit(req *SubmitRequest) *SubmitReply {
 	// instead of poisoning the result set. A strict struct compare would
 	// be wrong here: core.Run fills in zero Cluster/TimeoutFactor defaults
 	// before recording the spec in the result.
-	if !req.Result.Spec.Equivalent(c.specs[cell]) {
+	// Counts that are negative or do not sum to the cell's sample count
+	// (Result.Check) are discarded the same way.
+	if !req.Result.Spec.Equivalent(c.specs[cell]) || req.Result.Check() != nil {
 		// A confused or restarted-with-a-different-grid worker. Discard.
 		return &SubmitReply{Status: StatusStale}
 	}

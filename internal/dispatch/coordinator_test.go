@@ -255,6 +255,35 @@ func TestStaleSubmitDiscarded(t *testing.T) {
 	}
 }
 
+// TestInconsistentSubmitDiscarded: a result whose spec answers the cell but
+// whose counts are negative or do not sum to the cell's sample count is
+// answered StatusStale and kept out of the canonical result set.
+func TestInconsistentSubmitDiscarded(t *testing.T) {
+	specs := protoGrid(1)
+	c, err := New(specs, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := fakeResult(specs[0])
+	short.Counts[core.EffectMasked]--
+	negative := fakeResult(specs[0])
+	negative.Counts[core.EffectMasked]++
+	negative.Counts[core.EffectSDC] = -1
+	for name, r := range map[string]*core.Result{"short": short, "negative": negative} {
+		rep := c.submit(&SubmitRequest{Worker: "w1", LeaseID: 42, Cell: 0, Result: r})
+		if rep.Status != StatusStale {
+			t.Fatalf("%s counts: submit = %+v, want %s", name, rep, StatusStale)
+		}
+		if len(c.rs.Cells) != 0 {
+			t.Fatalf("%s counts landed in the result set", name)
+		}
+	}
+	if rep := c.submit(&SubmitRequest{Worker: "w1", LeaseID: 42, Cell: 0,
+		Result: fakeResult(specs[0])}); rep.Status != StatusAccepted {
+		t.Fatalf("consistent submit after the rejected ones = %+v", rep)
+	}
+}
+
 func TestAbandonRequeuesWithoutRetry(t *testing.T) {
 	tel := telemetry.NewCampaign(nil)
 	c, err := New(protoGrid(1), nil, Options{Tel: tel})

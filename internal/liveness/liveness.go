@@ -23,7 +23,7 @@
 //
 // A golden run under the profiler is deterministic, so the resulting
 // Profile artifact (see profile.go) is byte-identical across runs and
-// across the -nodelta / -nockpt execution strategies.
+// hosts.
 package liveness
 
 import (
@@ -198,7 +198,7 @@ func (t *compTracker) finish(end uint64) {
 // liveness profile of all six injectable structures. Use it as:
 //
 //	p := liveness.NewProfiler(m, golden.Cycles, windows)
-//	out := m.RunObserved(limit, 0, nil, p.OnCycle)
+//	out := m.RunWatched(limit, 0, nil, p.OnCycle, time.Time{})
 //	profile := p.Finish(out.Cycles)
 //
 // Not safe for concurrent use; the profiled machine must be single-use
@@ -243,7 +243,7 @@ func (p *Profiler) boundary(i int) uint64 {
 	return p.total * uint64(i+1) / uint64(p.windows)
 }
 
-// OnCycle is the sim.Machine.RunObserved per-cycle hook: one compare per
+// OnCycle is the sim.Machine.RunWatched per-cycle hook: one compare per
 // cycle until the next window boundary, then a snapshot of every
 // structure's occupancy and per-row valid bits. Snapshots use only
 // probe-free accessors, so sampling never perturbs the access stream the

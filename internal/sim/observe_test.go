@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"mbusim/internal/asm"
 )
@@ -35,12 +36,17 @@ func newSumMachine(t *testing.T) *Machine {
 	return m
 }
 
-// TestRunObservedMatchesRun: a nil observer must not perturb execution.
-func TestRunObservedMatchesRun(t *testing.T) {
+// TestRunWatchedMatchesRun: an observer and a watchdog that never fires
+// must not perturb execution.
+func TestRunWatchedMatchesRun(t *testing.T) {
 	a := newSumMachine(t).Run(1_000_000, 0, nil)
-	b := newSumMachine(t).RunObserved(1_000_000, 0, nil, nil)
+	calls := uint64(0)
+	b := newSumMachine(t).RunWatched(1_000_000, 0, nil, func(*Machine) { calls++ }, time.Now().Add(time.Hour))
 	if a.Cycles != b.Cycles || a.ExitCode != b.ExitCode || a.Committed != b.Committed {
-		t.Fatalf("RunObserved diverged from Run: %+v vs %+v", b, a)
+		t.Fatalf("RunWatched diverged from Run: %+v vs %+v", b, a)
+	}
+	if calls != b.Cycles {
+		t.Fatalf("observer ran %d times over %d cycles", calls, b.Cycles)
 	}
 }
 
@@ -50,13 +56,13 @@ func TestLockstepDigestsStayEqual(t *testing.T) {
 	m := newSumMachine(t)
 	shadow := newSumMachine(t)
 	cycles := 0
-	m.RunObserved(1_000_000, 0, nil, func(mm *Machine) {
+	m.RunWatched(1_000_000, 0, nil, func(mm *Machine) {
 		shadow.Core.Cycle()
 		cycles++
 		if mm.ArchDigest() != shadow.ArchDigest() {
 			t.Fatalf("digests diverged at cycle %d without a fault", mm.Core.Cycles())
 		}
-	})
+	}, time.Time{})
 	if cycles == 0 {
 		t.Fatal("observer never ran")
 	}
@@ -73,12 +79,12 @@ func TestLockstepDetectsInjectedDivergence(t *testing.T) {
 	inject := func(mm *Machine) {
 		mm.Core.SetArchReg(1, 0xDEADBEEF) // clobber the running sum
 	}
-	out := m.RunObserved(1_000_000, injectAt, inject, func(mm *Machine) {
+	out := m.RunWatched(1_000_000, injectAt, inject, func(mm *Machine) {
 		shadow.Core.Cycle()
 		if divergeAt == 0 && mm.ArchDigest() != shadow.ArchDigest() {
 			divergeAt = mm.Core.Cycles()
 		}
-	})
+	}, time.Time{})
 	if out.TimedOut {
 		t.Fatalf("timed out: %+v", out)
 	}

@@ -147,15 +147,7 @@ type Outcome struct {
 // reported in the outcome; any other panic is a simulator bug and
 // propagates.
 func (m *Machine) Run(maxCycles, injectAt uint64, inject func(*Machine)) (out Outcome) {
-	return m.RunObserved(maxCycles, injectAt, inject, nil)
-}
-
-// RunObserved is Run with a per-cycle observer: if onCycle is non-nil it is
-// invoked after every Core.Cycle(), which is how the forensics layer steps
-// a lockstep shadow machine and compares architectural digests. A nil
-// onCycle makes RunObserved identical to Run.
-func (m *Machine) RunObserved(maxCycles, injectAt uint64, inject func(*Machine), onCycle func(*Machine)) Outcome {
-	return m.RunWatched(maxCycles, injectAt, inject, onCycle, time.Time{})
+	return m.RunWatched(maxCycles, injectAt, inject, nil, time.Time{})
 }
 
 // watchdogStride is how many simulated cycles elapse between wall-clock
@@ -164,12 +156,16 @@ func (m *Machine) RunObserved(maxCycles, injectAt uint64, inject func(*Machine),
 // already-expired deadline stops the run before any simulated work.
 const watchdogStride = 4096
 
-// RunWatched is RunObserved with a wall-clock watchdog: if deadline is
-// nonzero and passes while the simulation is still running, the run stops
-// with TimedOut and WallTimedOut set, complementing the simulated-cycle
-// maxCycles limit. The deadline is polled every watchdogStride cycles, so
-// the check costs nothing measurable yet a wedged or pathologically slow
-// sample is bounded by real time, not just simulated time.
+// RunWatched is Run with a per-cycle observer and a wall-clock watchdog.
+// If onCycle is non-nil it is invoked after every Core.Cycle(), which is
+// how the forensics layer steps a lockstep shadow machine and the liveness
+// profiler samples structure state. If deadline is nonzero and passes
+// while the simulation is still running, the run stops with TimedOut and
+// WallTimedOut set, complementing the simulated-cycle maxCycles limit. The
+// deadline is polled every watchdogStride cycles, so the check costs
+// nothing measurable yet a wedged or pathologically slow sample is bounded
+// by real time, not just simulated time. A nil onCycle and a zero deadline
+// make RunWatched identical to Run.
 func (m *Machine) RunWatched(maxCycles, injectAt uint64, inject func(*Machine), onCycle func(*Machine), deadline time.Time) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -80,12 +80,3 @@ func (m *Machine) EqualsSnapshot(s *Snapshot) bool {
 		m.L2.EqualsSnapshot(s.l2) &&
 		m.RAM.EqualsSnapshot(s.ram)
 }
-
-// RestoreMachine builds a fresh machine in the snapshot's configuration
-// and restores the snapshot into it. The result is independent of both the
-// snapshot and every other machine restored from it.
-func RestoreMachine(s *Snapshot) *Machine {
-	m := New(s.Cfg)
-	m.RestoreFrom(s)
-	return m
-}

@@ -64,7 +64,7 @@ func TestSnapshotContinuesBitIdentically(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ { // restore twice: snapshots are reusable
-		r := RestoreMachine(snap)
+		r := restored(snap)
 		if r.Core.Cycles() != 1000 {
 			t.Fatalf("restored machine at cycle %d, want 1000", r.Core.Cycles())
 		}
@@ -95,7 +95,7 @@ func TestSnapshotMidRunMatchesScratch(t *testing.T) {
 	scratch := loadSnapshotProg(t)
 	want := scratch.Run(200_000, 900, inject)
 
-	r := RestoreMachine(snap)
+	r := restored(snap)
 	got := r.Run(200_000, 900, inject)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fast-forwarded faulted run diverged:\n got %+v\nwant %+v", got, want)
@@ -109,8 +109,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	m.Run(500, 0, nil)
 	snap := m.Snapshot()
 
-	a := RestoreMachine(snap)
-	b := RestoreMachine(snap)
+	a := restored(snap)
+	b := restored(snap)
 	// Corrupt a heavily, then run b to completion untouched.
 	for row := 0; row < 8; row++ {
 		a.L1D.FlipBit(row, 0)
@@ -142,7 +142,7 @@ func TestDeltaRestoreContinuesBitIdentically(t *testing.T) {
 		mm.DTLB.FlipBit(1, 31)
 		mm.Core.RegFile().FlipBit(9, 5)
 	}
-	want := RestoreMachine(snap).Run(200_000, 900, inject)
+	want := restored(snap).Run(200_000, 900, inject)
 
 	dirty := m.TrackDirty(snap)
 	for round := 0; round < 3; round++ {
@@ -185,7 +185,7 @@ func TestRestoreDeltaFallsBack(t *testing.T) {
 	}
 
 	// Handle owned by another machine: must fall back, not corrupt.
-	other := RestoreMachine(s2)
+	other := restored(s2)
 	otherDirty := other.TrackDirty(s2)
 	m.Run(1500, 0, nil)
 	_ = m.RestoreDelta(s2, otherDirty)
@@ -237,4 +237,12 @@ func TestEqualsSnapshotDetectsEveryComponent(t *testing.T) {
 			t.Fatalf("%s: EqualsSnapshot false after undoing the perturbation", p.name)
 		}
 	}
+}
+
+// restored builds a fresh machine in the snapshot's configuration and
+// restores the snapshot into it.
+func restored(s *Snapshot) *Machine {
+	m := New(s.Cfg)
+	m.RestoreFrom(s)
+	return m
 }

@@ -235,17 +235,21 @@ func TestTracerInterleavesFates(t *testing.T) {
 	}
 }
 
-// TestReadTraceMixedV1V2: a reader must accept a trace whose lines mix
-// untyped v1 samples, typed v2 samples, forensics records and record types
-// it has never heard of.
-func TestReadTraceMixedV1V2(t *testing.T) {
-	mixed := `{"comp":"L1D","workload":"sha","faults":1,"sample":0,"seed":7,"outcome":"masked"}
+// mixedTrace mixes untyped v1 samples, typed v2 samples, a forensics
+// record, a record type no reader knows and a blank line.
+const mixedTrace = `{"comp":"L1D","workload":"sha","faults":1,"sample":0,"seed":7,"outcome":"masked"}
 {"type":"sample","comp":"L1D","workload":"sha","faults":1,"sample":1,"seed":7,"outcome":"sdc"}
 {"type":"forensics","comp":"L1D","workload":"sha","faults":1,"sample":1,"seed":7,"fate":"read-then-sdc","first_touch_lat":42,"outcome":"sdc"}
 {"type":"hologram","payload":"from the future"}
 
 {"type":"sample","comp":"L1D","workload":"sha","faults":1,"sample":2,"seed":7,"outcome":"masked"}
 `
+
+// TestReadTraceMixedV1V2: a reader must accept a trace whose lines mix
+// untyped v1 samples, typed v2 samples, forensics records and record types
+// it has never heard of.
+func TestReadTraceMixedV1V2(t *testing.T) {
+	mixed := mixedTrace
 	tr, err := ReadTraceTyped(strings.NewReader(mixed))
 	if err != nil {
 		t.Fatal(err)
@@ -287,4 +291,38 @@ func TestTracerTrailingFates(t *testing.T) {
 	if len(tr.Samples) != 2 || len(tr.Fates) != 5 {
 		t.Fatalf("got %d samples, %d fates; want 2, 5", len(tr.Samples), len(tr.Fates))
 	}
+}
+
+// FuzzReadTraceTyped feeds arbitrary bytes to ReadTraceTyped, which reads
+// campaign traces back for logparse and perfbench. Whatever the bytes,
+// nothing panics, allocation stays within the line cap plus a linear cost
+// per input byte, and at most a torn final line is forgiven.
+func FuzzReadTraceTyped(f *testing.F) {
+	var buf bytes.Buffer
+	NewTracer(&buf).WriteCell(sampleBatch("sha", 3), fateBatch("sha", 3))
+	whole := buf.String()
+	for _, seed := range []string{
+		"",
+		whole,
+		mixedTrace,
+		whole + `{"type":"sample","comp":"L1D","work`,
+		whole + `{"type":"forensics","faults":"notanint"}`,
+		"{\"comp\":\"L1D\"}\nnot json\n{\"comp\":\"L1I\"}\n",
+		whole + "{\"half\n\n\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr *Trace
+		var err error
+		grew := allocatedBy(func() { tr, err = ReadTraceTyped(bytes.NewReader(data)) })
+		// Each decoded record costs well under 2 KiB, and the shortest
+		// record line ("{}\n") is 3 bytes.
+		if limit := 4*maxJSONLLine + 2048*uint64(len(data)); grew > limit {
+			t.Fatalf("%d input bytes allocated %d bytes, want <= %d", len(data), grew, limit)
+		}
+		if err == nil && tr.Truncated > 1 {
+			t.Fatalf("Truncated = %d, want <= 1", tr.Truncated)
+		}
+	})
 }

@@ -208,7 +208,7 @@ func (a *Artifact) validate() error {
 }
 
 // InstallArtifact seeds the workload's derived state from a verified
-// artifact, so later Reference/GoldenCheckpoints/MachineAt calls find it
+// artifact, so later Reference, GoldenCheckpoints and Restorer calls find it
 // already built and no golden run happens in this process. It compiles the
 // workload locally (cheap) and refuses the artifact unless the image hash,
 // checkpoint count, and machine configuration all match what this process

@@ -59,7 +59,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if err := s.BindProgram(m); err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
-		if !sim.RestoreMachine(s).EqualsSnapshot(a.Snaps[i]) {
+		restored := sim.New(s.Cfg)
+		restored.RestoreFrom(s)
+		if !restored.EqualsSnapshot(a.Snaps[i]) {
 			t.Fatalf("checkpoint %d (cycle %d) did not survive the round trip", i, back.Cycles[i])
 		}
 	}
@@ -177,7 +179,7 @@ func TestInstallArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ck, err := w.MachineAt(g.Cycles - 1)
+	m, ck, err := w.NewRestorer().MachineAt(g.Cycles - 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestInstallArtifactRejectsMismatch(t *testing.T) {
 	if g.Cycles == 0 || *derived != 1 {
 		t.Fatalf("fallback derivation broken after rejected install: derived=%d", *derived)
 	}
-	if _, _, err := w.MachineAt(g.Cycles / 2); err != nil {
+	if _, _, err := w.NewRestorer().MachineAt(g.Cycles / 2); err != nil {
 		t.Fatalf("checkpoints unusable after rejected install: %v", err)
 	}
 }

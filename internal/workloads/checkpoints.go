@@ -11,9 +11,9 @@ import (
 // fault-free prefix of its workload up to the injection cycle, so on
 // average half of each run is redundant work. A checkpoint set records K
 // evenly spaced machine snapshots during a single instrumented golden run;
-// MachineAt then fast-forwards a fresh machine to the nearest checkpoint
-// at or before the injection cycle, cutting the average replayed prefix
-// from G/2 to G/(2K) cycles. Because snapshots capture the complete
+// a Restorer then fast-forwards its machine to the nearest checkpoint at
+// or before the injection cycle, cutting the average replayed prefix from
+// G/2 to G/(2K) cycles. Because snapshots capture the complete
 // machine state, the fast-forwarded run is bit-identical to a from-scratch
 // run (enforced by TestCheckpointEquivalence in internal/core).
 
@@ -95,44 +95,17 @@ type Checkpoint struct {
 	Cycle uint64
 }
 
-// MachineAt returns a fresh machine fast-forwarded to the latest golden
-// checkpoint at or before cycle, and which checkpoint that was. The
-// checkpoint set always includes cycle 0, so any cycle within the golden
-// run resolves. The returned machine is independent of the checkpoint set
-// and of every other machine returned from it.
-func (w *Workload) MachineAt(cycle uint64) (*sim.Machine, Checkpoint, error) {
-	ck, snap, err := w.checkpointAt(cycle)
-	if err != nil {
-		return nil, Checkpoint{}, err
-	}
-	return sim.RestoreMachine(snap), ck, nil
-}
-
-// checkpointAt resolves cycle to the latest golden checkpoint at or before
-// it, building the checkpoint set on first use.
-func (w *Workload) checkpointAt(cycle uint64) (Checkpoint, *sim.Snapshot, error) {
-	w.buildCheckpoints()
-	if w.ckptErr != nil {
-		return Checkpoint{}, nil, w.ckptErr
-	}
-	// Latest checkpoint at or before cycle; index 0 is cycle 0.
-	i := sort.Search(len(w.ckptCycles), func(i int) bool { return w.ckptCycles[i] > cycle }) - 1
-	if i < 0 {
-		i = 0
-	}
-	return Checkpoint{Index: i, Cycle: w.ckptCycles[i]}, w.ckptSnaps[i], nil
-}
-
-// Restorer hands out checkpoint-restored machines like MachineAt, but owns
-// one machine that it rewinds by delta restore between calls instead of
-// building a fresh machine each time. Consecutive requests that resolve to
-// the same checkpoint pay only for the state the previous run dirtied; a
+// Restorer hands out checkpoint-restored machines. It owns one machine
+// that it rewinds by delta restore between calls instead of building a
+// fresh machine each time: consecutive requests that resolve to the same
+// checkpoint pay only for the state the previous run dirtied, and a
 // checkpoint switch (or the first call) transparently falls back to a full
-// restore. The returned machine is bit-identical to MachineAt's — enforced
-// by TestCheckpointEquivalence — but it is only valid until the next
-// MachineAt call on the same Restorer, and the caller must detach any
-// probes it installed before that call. A Restorer is not safe for
-// concurrent use; campaigns create one per worker.
+// restore. The returned machine is bit-identical to a from-scratch replay
+// to the same checkpoint — enforced by TestCheckpointEquivalence — but it
+// is only valid until the next MachineAt call on the same Restorer, and
+// the caller must detach any probes it installed before that call. A
+// Restorer is not safe for concurrent use; campaigns create one per
+// worker.
 type Restorer struct {
 	w     *Workload
 	m     *sim.Machine
@@ -143,15 +116,18 @@ type Restorer struct {
 func (w *Workload) NewRestorer() *Restorer { return &Restorer{w: w} }
 
 // MachineAt returns the Restorer's machine rewound to the latest golden
-// checkpoint at or before cycle, and which checkpoint that was.
+// checkpoint at or before cycle, and which checkpoint that was. The
+// checkpoint set always includes cycle 0, so any cycle resolves; the set is
+// built on first use.
 func (r *Restorer) MachineAt(cycle uint64) (*sim.Machine, Checkpoint, error) {
-	ck, snap, err := r.w.checkpointAt(cycle)
+	cycles, snaps, err := r.w.GoldenCheckpoints()
 	if err != nil {
 		return nil, Checkpoint{}, err
 	}
+	i := max(sort.Search(len(cycles), func(i int) bool { return cycles[i] > cycle })-1, 0)
 	if r.m == nil {
-		r.m = sim.New(snap.Cfg)
+		r.m = sim.New(snaps[i].Cfg)
 	}
-	r.dirty = r.m.RestoreDelta(snap, r.dirty)
-	return r.m, ck, nil
+	r.dirty = r.m.RestoreDelta(snaps[i], r.dirty)
+	return r.m, Checkpoint{Index: i, Cycle: cycles[i]}, nil
 }

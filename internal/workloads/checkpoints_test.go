@@ -52,6 +52,7 @@ func TestMachineAtPicksNearestCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rst := w.NewRestorer()
 
 	// Exactly at a checkpoint, just after one, and just before the next.
 	for _, tc := range []struct {
@@ -64,7 +65,7 @@ func TestMachineAtPicksNearestCheckpoint(t *testing.T) {
 		{cycles[2] - 1, cycles[1], 1},
 		{g.Cycles - 1, cycles[len(cycles)-1], len(cycles) - 1},
 	} {
-		m, ck, err := w.MachineAt(tc.ask)
+		m, ck, err := rst.MachineAt(tc.ask)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,9 @@ func TestMachineAtPicksNearestCheckpoint(t *testing.T) {
 }
 
 // TestMachineAtReproducesGolden: a machine fast-forwarded to any
-// checkpoint and run to completion reproduces the golden outcome exactly.
+// checkpoint and run to completion reproduces the golden outcome exactly,
+// also when the Restorer rewinds the previous run's machine by delta
+// restore.
 func TestMachineAtReproducesGolden(t *testing.T) {
 	w, err := ByName("susan_c")
 	if err != nil {
@@ -95,8 +98,9 @@ func TestMachineAtReproducesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rst := w.NewRestorer()
 	for _, c := range cycles {
-		m, _, err := w.MachineAt(c)
+		m, _, err := rst.MachineAt(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"time"
 
 	"mbusim/internal/liveness"
 )
@@ -27,7 +28,7 @@ func (w *Workload) Profile(windows int) (*liveness.Profile, error) {
 		return nil, err
 	}
 	prof := liveness.NewProfiler(m, golden.Cycles, windows)
-	out := m.RunObserved(golden.Cycles+1, 0, nil, prof.OnCycle)
+	out := m.RunWatched(golden.Cycles+1, 0, nil, prof.OnCycle, time.Time{})
 	if out.Stop.String() != "exit" || out.ExitCode != golden.ExitCode || out.Cycles != golden.Cycles {
 		return nil, fmt.Errorf("workloads: profiled run of %s diverged from golden: stop=%v exit=%d cycles=%d (want exit=%d cycles=%d)",
 			w.Name, out.Stop, out.ExitCode, out.Cycles, golden.ExitCode, golden.Cycles)
