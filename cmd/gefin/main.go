@@ -171,7 +171,6 @@ type config struct {
 
 	// Workers, observers and profiles.
 	joinAddr, workerID, cacheDir string
-	noArtifacts                  bool
 	watchURL, profileDir         string
 	windows                      int
 }
@@ -225,7 +224,6 @@ func newFlags(c *config, stderr io.Writer) (*flag.FlagSet, map[string]mode) {
 	fs.IntVar(&c.retries, in(modeServe|modeService|modeSubmit, "retries"), 5, "reassignments allowed per cell before the campaign fails naming it")
 	fs.DurationVar(&c.wallTimeout, in(modeGrid, "wall-timeout"), 0, "per-sample wall-clock budget; a sample exceeding it is recorded as a timeout (0 = no watchdog)")
 	fs.StringVar(&c.cacheDir, in(modeJoin, "cache-dir"), defaultCacheDir(), "disk cache for checkpoint artifacts fetched from the service (empty = no disk cache)")
-	fs.BoolVar(&c.noArtifacts, in(modeJoin, "no-artifacts"), false, "skip the checkpoint-artifact cache and derive every golden reference locally")
 	fs.StringVar(&c.profileDir, in(modeProfile, "profile"), "", "run each workload's fault-free golden reference under the liveness profiler and write one versioned .mbup artifact per workload into this directory (runs no injections)")
 	fs.IntVar(&c.windows, in(modeProfile, "windows"), 64, "occupancy sampling windows per profile (1-4096)")
 	fs.Var(&c.forensics, in(modeGrid, "forensics"), "track every injected bit's fate (fast: component probes; full: + lockstep shadow-machine divergence, ~2x cost)")
@@ -500,12 +498,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case modeProfile:
 		return runProfile(ctx, stdout, stderr, c.profileDir, c.workload, c.windows, c.quiet, tel, start)
 	case modeJoin:
-		dir := c.cacheDir
-		if c.noArtifacts {
-			dir = ""
-		}
-		return runWorker(ctx, stdout, stderr, c.joinAddr, c.workerID, c.quiet, tel, start,
-			!c.noArtifacts, dir)
+		return runWorker(ctx, stdout, stderr, c.joinAddr, c.workerID, c.quiet, tel, start, c.cacheDir)
 	case modeSubmit:
 		return runSubmit(ctx, stdout, stderr, c.submitAddr, specs,
 			c.tenant, c.name, c.retries, c.campaignOut, c.quiet)
@@ -621,8 +614,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // service sends the worker home. A SIGINT/SIGTERM drains: the in-flight
 // cell is handed back so the service reassigns it at once.
 func runWorker(ctx context.Context, stdout, stderr io.Writer,
-	addr, id string, quiet bool, tel *telemetry.Campaign, start time.Time,
-	useArtifacts bool, cacheDir string) int {
+	addr, id string, quiet bool, tel *telemetry.Campaign, start time.Time, cacheDir string) int {
 	if id == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -631,13 +623,10 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer,
 		id = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	addr = serviceURL(addr)
-	var arts *dispatch.ArtifactCache
-	if useArtifacts {
-		arts = &dispatch.ArtifactCache{Dir: cacheDir, URL: addr, Tel: tel}
-	}
 	done := 0
 	w := &dispatch.Worker{
-		ID: id, Client: dispatch.Client{URL: addr}, Tel: tel, Artifacts: arts,
+		ID: id, Client: dispatch.Client{URL: addr}, Tel: tel,
+		Artifacts: &dispatch.ArtifactCache{Dir: cacheDir, URL: addr, Tel: tel},
 		OnCell: func(cell int, spec core.Spec, res *core.Result) {
 			done++
 			if !quiet {

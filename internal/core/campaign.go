@@ -310,8 +310,8 @@ type cell struct {
 
 // newCell resolves spec (already defaulted and validated) into its cell.
 // The component and geometry are checked once, on a probe machine, and the
-// checkpoint set is built here so its one-time cost is not paid under the
-// first worker's sample.
+// golden run, which records the checkpoint set, is derived here so its
+// one-time cost is not paid under the first worker's sample.
 func newCell(spec Spec, tel *telemetry.Campaign) (*cell, error) {
 	w, err := workloads.ByName(spec.Workload)
 	if err != nil {

@@ -29,6 +29,13 @@ func TestCheckpointEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			limit := 4 * golden.Cycles
+			// The fault-free outcome of a scratch machine is the same for
+			// every fraction, so it is run once.
+			scratch, err := w.NewMachine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := scratch.Run(limit, 0, nil)
 			// One Restorer serves every restore below, so the later ones
 			// rewind its machine by delta restore, as a campaign worker's do.
 			rst := w.NewRestorer()
@@ -37,11 +44,6 @@ func TestCheckpointEquivalence(t *testing.T) {
 
 				// Fault-free: fast-forward and run out; must reproduce the
 				// golden outcome a scratch machine produces.
-				scratch, err := w.NewMachine()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := scratch.Run(limit, 0, nil)
 				ff, ck, err := rst.MachineAt(injectAt)
 				if err != nil {
 					t.Fatal(err)

@@ -25,7 +25,9 @@ func (rs *ResultSet) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a flat result list back into the cell map,
-// rejecting any result that fails Result.Check.
+// rejecting any result that fails Result.Check and a second result for a
+// cell already loaded: Save never writes one, so the file is corrupt or
+// hand-edited and neither entry can be trusted over the other.
 func (rs *ResultSet) UnmarshalJSON(data []byte) error {
 	var enc resultSetJSON
 	if err := json.Unmarshal(data, &enc); err != nil {
@@ -35,6 +37,9 @@ func (rs *ResultSet) UnmarshalJSON(data []byte) error {
 	for i, r := range enc.Results {
 		if err := r.Check(); err != nil {
 			return fmt.Errorf("result %d: %w", i, err)
+		}
+		if k := r.Spec.Key(); rs.Cells[k] != nil {
+			return fmt.Errorf("result %d: %s/%s/%d-bit: duplicate cell", i, k.Component, k.Workload, k.Faults)
 		}
 		rs.Add(r)
 	}

@@ -149,18 +149,26 @@ func TestLoadResultSetErrors(t *testing.T) {
 	}
 }
 
+// duplicateCells lists the L1D/CRC32/1-bit cell twice with different
+// counts; decoding it used to keep the second entry silently.
+const duplicateCells = `{"Results":[` +
+	`{"Spec":{"Workload":"CRC32","Component":"L1D","Faults":1,"Samples":4,"Seed":1},"Counts":[4,0,0,0,0]},` +
+	`{"Spec":{"Workload":"CRC32","Component":"L1D","Faults":1,"Samples":4,"Seed":1},"Counts":[0,4,0,0,0]}]}`
+
 // TestLoadResultSetRejectsInconsistentResults: a results file whose list
-// holds a null entry, a negative count or counts that do not sum to the
-// cell's sample count is an error naming the file, never a panic and never
-// a cell that -resume or service replay would trust.
+// holds a null entry, a negative count, counts that do not sum to the
+// cell's sample count or a second entry for one cell is an error naming
+// the file, never a panic and never a cell that -resume or service replay
+// would trust.
 func TestLoadResultSetRejectsInconsistentResults(t *testing.T) {
 	spec := `"Spec":{"Workload":"CRC32","Component":"L1D","Faults":1,"Samples":4,"Seed":1}`
 	for name, body := range map[string]string{
-		"null":     `{"Results":[null]}`,
-		"negative": `{"Results":[{` + spec + `,"Counts":[5,-1,0,0,0]}]}`,
-		"short":    `{"Results":[{` + spec + `,"Counts":[2,1,0,0,0]}]}`,
-		"long":     `{"Results":[{` + spec + `,"Counts":[4,1,0,0,0]}]}`,
-		"overflow": `{"Results":[{` + spec + `,"Counts":[9223372036854775807,9223372036854775807,2,0,0]}]}`,
+		"null":      `{"Results":[null]}`,
+		"negative":  `{"Results":[{` + spec + `,"Counts":[5,-1,0,0,0]}]}`,
+		"short":     `{"Results":[{` + spec + `,"Counts":[2,1,0,0,0]}]}`,
+		"long":      `{"Results":[{` + spec + `,"Counts":[4,1,0,0,0]}]}`,
+		"overflow":  `{"Results":[{` + spec + `,"Counts":[9223372036854775807,9223372036854775807,2,0,0]}]}`,
+		"duplicate": duplicateCells,
 	} {
 		path := filepath.Join(t.TempDir(), name+".json")
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -169,6 +177,9 @@ func TestLoadResultSetRejectsInconsistentResults(t *testing.T) {
 		_, err := LoadResultSet(path)
 		if err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("%s: err = %v, want an error naming %s", name, err, path)
+		}
+		if name == "duplicate" && err != nil && !strings.Contains(err.Error(), "L1D/CRC32/1-bit: duplicate cell") {
+			t.Errorf("duplicate: err = %v, want it to name the cell", err)
 		}
 	}
 	// The consistent cell those variants were made from still loads.
@@ -196,6 +207,7 @@ func FuzzLoadResultSet(f *testing.F) {
 	f.Add(enc)
 	f.Add([]byte(`{"Results":[{"Spec":{"Workload":"CRC32","Component":"L1D","Faults":1,"Samples":120,"Seed":1},"Counts":[48,72,0,0,0],"GoldenCycles":1418830}]}`))
 	f.Add([]byte(`{"Results":[null]}`))
+	f.Add([]byte(duplicateCells))
 	f.Add([]byte(`{"Results":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs := NewResultSet()

@@ -33,7 +33,7 @@ func TestEncodingPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pin(t, a.Encode(), "91205ebc2218ce365a1afa5ae1dd045747d52f413b3df42e52b916b5b941793b",
+		pin(t, a.Encode(), "34b71b292e9bddf51a6432977522d66a03d96416a2077d51311c9235e18f3689",
 			"if the artifact or snapshot format changed on purpose, bump workloads.ArtifactFormat or sim.SnapshotFormat and update the pin")
 	})
 

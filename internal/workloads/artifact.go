@@ -14,22 +14,25 @@ import (
 
 // Checkpoint artifacts: the expensive part of bringing up a workload is not
 // compiling it (milliseconds) but deriving its golden reference — a full
-// fault-free run of up to 500M simulated cycles — and replaying it again to
-// record the checkpoint set. In a distributed campaign every worker used to
-// pay that tax per process. An Artifact captures the derived state (golden
-// run + checkpoint snapshots) in a versioned binary encoding, keyed by a
-// content address over everything the state is a pure function of: the
-// wire-format version, the workload name, the compiled image, and the
-// checkpoint count. Any party holding the same source and configuration
-// computes the same key, so a worker can ask the coordinator for "the
-// artifact I would have derived" and install it instead — and a key
-// mismatch (different simulator build, source, or K) degrades safely to
-// local derivation rather than ever installing the wrong state.
+// fault-free run of up to 500M simulated cycles that records the checkpoint
+// set on the way. In a distributed campaign every worker used to pay that
+// tax per process. An Artifact captures the derived state (golden run +
+// checkpoint snapshots) in a versioned binary encoding, keyed by a content
+// address over everything the state is a pure function of: the wire-format
+// version, the workload name, the compiled image, and the checkpoint
+// count. Any party holding the same source and configuration computes the
+// same key, so a worker can ask the coordinator for "the artifact I would
+// have derived" and install it instead — and a key mismatch (different
+// simulator build, source, or K) degrades safely to local derivation
+// rather than ever installing the wrong state.
 
 // ArtifactFormat versions the artifact container layout (magic, header,
-// payload field order, hash trailer). The snapshot payload is versioned
-// separately by sim.SnapshotFormat; both are folded into the key.
-const ArtifactFormat = 1
+// payload field order, hash trailer) and the placement of its checkpoints,
+// so that one key names one byte string. Format 2 holds the K to 2K-1
+// checkpoints the golden run records (format 1 held K at G·i/K). The
+// snapshot payload is versioned separately by sim.SnapshotFormat; both are
+// folded into the key.
+const ArtifactFormat = 2
 
 // artifactMagic opens every encoded artifact.
 var artifactMagic = [4]byte{'M', 'B', 'U', 'A'}
@@ -92,21 +95,13 @@ func (w *Workload) ArtifactKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	k := CheckpointCount
-	if k < 1 {
-		k = 1
-	}
-	return artifactKey(w.Name, HashImage(prog), k), nil
+	return artifactKey(w.Name, HashImage(prog), checkpointCount()), nil
 }
 
 // ExportArtifact packages the workload's derived state, deriving it first
-// if this process has not already (one golden run + one checkpoint replay).
+// if this process has not already (one golden run).
 func ExportArtifact(w *Workload) (*Artifact, error) {
 	prog, err := w.Program()
-	if err != nil {
-		return nil, err
-	}
-	g, err := w.Reference()
 	if err != nil {
 		return nil, err
 	}
@@ -114,15 +109,11 @@ func ExportArtifact(w *Workload) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := CheckpointCount
-	if k < 1 {
-		k = 1
-	}
 	return &Artifact{
 		Workload:  w.Name,
 		ImageHash: HashImage(prog),
-		K:         k,
-		Golden:    *g,
+		K:         checkpointCount(),
+		Golden:    *w.golden,
 		Cycles:    cycles,
 		Snaps:     snaps,
 	}, nil
@@ -227,11 +218,7 @@ func InstallArtifact(w *Workload, a *Artifact) error {
 	if HashImage(prog) != a.ImageHash {
 		return fmt.Errorf("workloads: artifact image hash does not match compiled %s", w.Name)
 	}
-	k := CheckpointCount
-	if k < 1 {
-		k = 1
-	}
-	if a.K != k {
+	if k := checkpointCount(); a.K != k {
 		return fmt.Errorf("workloads: artifact built with %d checkpoints, this process wants %d", a.K, k)
 	}
 	// The snapshots carry no predecoded text (it is derived from the
@@ -255,13 +242,13 @@ func InstallArtifact(w *Workload, a *Artifact) error {
 		}
 	}
 
-	installedGolden := false
+	installed := false
 	w.goldenOnce.Do(func() {
 		g := a.Golden
-		w.golden = &g
-		installedGolden = true
+		w.golden, w.ckptCycles, w.ckptSnaps = &g, a.Cycles, a.Snaps
+		installed = true
 	})
-	if !installedGolden {
+	if !installed {
 		if w.goldenErr != nil {
 			return fmt.Errorf("workloads: %s golden already failed: %w", w.Name, w.goldenErr)
 		}
@@ -270,9 +257,5 @@ func InstallArtifact(w *Workload, a *Artifact) error {
 			return fmt.Errorf("workloads: artifact golden disagrees with the one already derived for %s", w.Name)
 		}
 	}
-	w.ckptOnce.Do(func() {
-		w.ckptCycles = a.Cycles
-		w.ckptSnaps = a.Snaps
-	})
 	return nil
 }

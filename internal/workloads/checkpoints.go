@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"sort"
 
 	"mbusim/internal/sim"
@@ -9,81 +8,80 @@ import (
 
 // Golden checkpoints: every fault-injection run replays the deterministic
 // fault-free prefix of its workload up to the injection cycle, so on
-// average half of each run is redundant work. A checkpoint set records K
-// evenly spaced machine snapshots during a single instrumented golden run;
+// average half of each run is redundant work. The golden run records a
+// checkpoint set of K to 2K-1 evenly spaced machine snapshots as it goes;
 // a Restorer then fast-forwards its machine to the nearest checkpoint at
 // or before the injection cycle, cutting the average replayed prefix from
-// G/2 to G/(2K) cycles. Because snapshots capture the complete
-// machine state, the fast-forwarded run is bit-identical to a from-scratch
-// run (enforced by TestCheckpointEquivalence in internal/core).
+// G/2 to about half a stride, below G/(2K-2) cycles. Because snapshots
+// capture the complete machine state, the fast-forwarded run is
+// bit-identical to a from-scratch run (enforced by
+// TestCheckpointEquivalence in internal/core).
 
-// CheckpointCount is K, the number of evenly spaced golden checkpoints
-// recorded per workload (including one at cycle 0). It is read when a
-// workload's checkpoint set is first built — once per workload per
-// process — so set it before any campaign runs. Values below 1 behave
-// like 1.
+// CheckpointCount is K: the golden run ends with K to 2K-1 evenly spaced
+// checkpoints (including one at cycle 0), fewer only for a run of at most
+// (K-1)*checkpointStride cycles. It is read when a workload's golden run
+// is first derived — once per workload per process — so set it before any
+// campaign runs. Values below 1 behave like 1.
 var CheckpointCount = 8
 
-// buildCheckpoints records the checkpoint set during one golden run.
-func (w *Workload) buildCheckpoints() {
-	w.ckptOnce.Do(func() {
-		g, err := w.Reference()
-		if err != nil {
-			w.ckptErr = err
-			return
+// checkpointCount returns CheckpointCount clamped to at least 1.
+func checkpointCount() int { return max(CheckpointCount, 1) }
+
+// checkpointStride is the initial spacing of the checkpoint set in cycles.
+// A power of two, so every later spacing is one as well.
+const checkpointStride = 1 << 10
+
+// goldenLimit bounds the golden run in simulated cycles.
+const goldenLimit = 500_000_000
+
+// runRecording runs m to completion (or goldenLimit), snapshotting it at
+// its current cycle and then every stride cycles, starting at
+// checkpointStride. When a snapshot falls due while 2k-1 are held, it
+// keeps every other one and doubles the stride instead, so the cycle G at
+// which the run ends need not be known in advance. It returns snapshots
+// one stride apart, all taken before the machine stopped: k to 2k-1 of
+// them, fewer only when G is at most (k-1)*checkpointStride.
+func runRecording(m *sim.Machine, k int) (out sim.Outcome, cycles []uint64, snaps []*sim.Snapshot) {
+	cycles, snaps = []uint64{m.Core.Cycles()}, []*sim.Snapshot{m.Snapshot()}
+	for stride := uint64(checkpointStride); ; {
+		out = m.Run(min(cycles[len(cycles)-1]+stride, goldenLimit), 0, nil)
+		if !out.TimedOut || out.Cycles >= goldenLimit {
+			return out, cycles, snaps
 		}
-		m, err := w.NewMachine()
-		if err != nil {
-			w.ckptErr = err
-			return
+		if len(snaps) < 2*k-1 {
+			cycles, snaps = append(cycles, out.Cycles), append(snaps, m.Snapshot())
+			continue
 		}
-		k := CheckpointCount
-		if k < 1 {
-			k = 1
+		// The set is full, and the due cycle (2k-1)*stride is not a
+		// multiple of the doubled stride: thin the set instead of taking
+		// a snapshot the thinning would drop.
+		for i := 1; i < k; i++ {
+			cycles[i], snaps[i] = cycles[2*i], snaps[2*i]
 		}
-		for i := 0; i < k; i++ {
-			target := g.Cycles * uint64(i) / uint64(k)
-			if target > m.Core.Cycles() {
-				out := m.Run(target, 0, nil)
-				if !out.TimedOut {
-					// The golden run completes at g.Cycles and every target
-					// is below that, so stopping early means the golden
-					// reference and this replay diverged.
-					w.ckptErr = fmt.Errorf("workloads: %s: checkpoint replay stopped at cycle %d (%v) before target %d",
-						w.Name, out.Cycles, out.Stop, target)
-					return
-				}
-			}
-			if n := len(w.ckptCycles); n > 0 && w.ckptCycles[n-1] == m.Core.Cycles() {
-				continue // tiny workload: targets collapsed onto one cycle
-			}
-			w.ckptCycles = append(w.ckptCycles, m.Core.Cycles())
-			w.ckptSnaps = append(w.ckptSnaps, m.Snapshot())
-		}
-	})
+		clear(snaps[k:])
+		cycles, snaps = cycles[:k], snaps[:k]
+		stride *= 2
+	}
 }
 
 // GoldenCheckpoints returns the cycles and snapshots of the workload's
-// golden checkpoint set in ascending cycle order, building the set on
-// first use. The returned slices are shared and must not be modified; the
-// snapshots are immutable. The campaign's convergence exit compares a
+// golden checkpoint set in ascending cycle order, deriving the golden run
+// on first use. The returned slices are shared and must not be modified;
+// the snapshots are immutable. The campaign's convergence exit compares a
 // faulty machine against snaps[i] when its run crosses cycles[i].
 func (w *Workload) GoldenCheckpoints() (cycles []uint64, snaps []*sim.Snapshot, err error) {
-	w.buildCheckpoints()
-	if w.ckptErr != nil {
-		return nil, nil, w.ckptErr
+	w.deriveGolden()
+	if w.goldenErr != nil {
+		return nil, nil, w.goldenErr
 	}
 	return w.ckptCycles, w.ckptSnaps, nil
 }
 
 // CheckpointCycles returns the cycles of the workload's golden checkpoint
-// set, building it on first use (diagnostics and tests).
+// set, deriving the golden run on first use (diagnostics and tests).
 func (w *Workload) CheckpointCycles() ([]uint64, error) {
-	w.buildCheckpoints()
-	if w.ckptErr != nil {
-		return nil, w.ckptErr
-	}
-	return append([]uint64(nil), w.ckptCycles...), nil
+	cycles, _, err := w.GoldenCheckpoints()
+	return append([]uint64(nil), cycles...), err
 }
 
 // Checkpoint identifies one golden checkpoint: its index within the
@@ -117,8 +115,8 @@ func (w *Workload) NewRestorer() *Restorer { return &Restorer{w: w} }
 
 // MachineAt returns the Restorer's machine rewound to the latest golden
 // checkpoint at or before cycle, and which checkpoint that was. The
-// checkpoint set always includes cycle 0, so any cycle resolves; the set is
-// built on first use.
+// checkpoint set always includes cycle 0, so any cycle resolves; the golden
+// run that records the set is derived on first use.
 func (r *Restorer) MachineAt(cycle uint64) (*sim.Machine, Checkpoint, error) {
 	cycles, snaps, err := r.w.GoldenCheckpoints()
 	if err != nil {

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// TestCheckpointCyclesSpacing: the golden run records K to 2K-1
+// checkpoints, the first at cycle 0 and the rest one common stride apart,
+// all before the run ends.
 func TestCheckpointCyclesSpacing(t *testing.T) {
 	w, err := ByName("sha")
 	if err != nil {
@@ -18,23 +21,49 @@ func TestCheckpointCyclesSpacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cycles) == 0 || cycles[0] != 0 {
+	if k := CheckpointCount; len(cycles) < k || len(cycles) > 2*k-1 {
+		t.Fatalf("%d checkpoints, want %d to %d: %v", len(cycles), k, 2*k-1, cycles)
+	}
+	if cycles[0] != 0 {
 		t.Fatalf("checkpoint set must start at cycle 0: %v", cycles)
 	}
-	for i := 1; i < len(cycles); i++ {
-		if cycles[i] <= cycles[i-1] {
-			t.Fatalf("checkpoint cycles not strictly increasing: %v", cycles)
-		}
-		if cycles[i] >= g.Cycles {
-			t.Fatalf("checkpoint %d at cycle %d beyond golden end %d", i, cycles[i], g.Cycles)
+	stride := cycles[1]
+	for i, c := range cycles {
+		if c != uint64(i)*stride {
+			t.Fatalf("checkpoint %d at cycle %d, want %d (stride %d): %v", i, c, uint64(i)*stride, stride, cycles)
 		}
 	}
-	// Evenly spaced: the i-th target is i*G/K.
-	k := len(cycles)
-	for i, c := range cycles {
-		want := g.Cycles * uint64(i) / uint64(CheckpointCount)
-		if c != want {
-			t.Fatalf("checkpoint %d at cycle %d, want %d (K=%d, G=%d)", i, c, want, k, g.Cycles)
+	if last := cycles[len(cycles)-1]; last >= g.Cycles {
+		t.Fatalf("last checkpoint at cycle %d, golden run ends at %d", last, g.Cycles)
+	}
+}
+
+// TestCheckpointsMatchReplay: each snapshot the golden run records is the
+// state a fresh machine reaches by replaying the workload to the same
+// cycle, so the checkpoint set needs no second run to be trusted.
+func TestCheckpointsMatchReplay(t *testing.T) {
+	for _, name := range []string{"stringSearch", "qsort"} {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles, snaps, err := w.GoldenCheckpoints()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := w.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cycles {
+			if c > 0 {
+				if out := m.Run(c, 0, nil); !out.TimedOut || out.Cycles != c {
+					t.Fatalf("%s: replay to checkpoint %d stopped at cycle %d (%v)", name, i, out.Cycles, out.Stop)
+				}
+			}
+			if !m.EqualsSnapshot(snaps[i]) {
+				t.Fatalf("%s: replay differs from checkpoint %d at cycle %d", name, i, c)
+			}
 		}
 	}
 }

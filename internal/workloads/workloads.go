@@ -27,23 +27,22 @@ type Workload struct {
 	// is milliseconds, the golden run is hundreds of millions of simulated
 	// cycles. The artifact layer (InstallArtifact) exploits the split — it
 	// needs the compiled image to verify the artifact's hash and to build
-	// machines, but seeds golden and checkpoints from the artifact instead
-	// of deriving them.
+	// machines, but seeds the golden run and its checkpoints from the
+	// artifact instead of deriving them.
 	compileOnce sync.Once
 	prog        *asm.Program
 	compileErr  error
 
-	goldenOnce sync.Once
-	golden     *Golden
-	goldenErr  error
-
-	// The checkpoint set: ascending cycles and the snapshot taken at each,
+	// The golden reference and its checkpoint set come from one fault-free
+	// run, under one guard: either both are set or goldenErr is. The
+	// checkpoints are ascending cycles and the snapshot taken at each,
 	// kept as two parallel slices so the campaign's per-sample convergence
 	// checks borrow them without allocating.
-	ckptOnce   sync.Once
+	goldenOnce sync.Once
+	golden     *Golden
 	ckptCycles []uint64
 	ckptSnaps  []*sim.Snapshot
-	ckptErr    error
+	goldenErr  error
 }
 
 // OnGoldenDerived, when non-nil, is called each time a workload's golden
@@ -119,8 +118,10 @@ func (w *Workload) compile() {
 	})
 }
 
-// deriveGolden captures the fault-free reference run, once. InstallArtifact
-// wins the same once-guard with a cached golden instead, skipping the run.
+// deriveGolden captures the fault-free reference run and records its
+// checkpoint set on the way, once. InstallArtifact wins the same
+// once-guard with a cached golden run and checkpoint set instead, skipping
+// the run.
 func (w *Workload) deriveGolden() {
 	w.goldenOnce.Do(func() {
 		w.compile()
@@ -133,7 +134,7 @@ func (w *Workload) deriveGolden() {
 			w.goldenErr = fmt.Errorf("workloads: load %s: %w", w.Name, err)
 			return
 		}
-		out := m.Run(500_000_000, 0, nil)
+		out, cycles, snaps := runRecording(m, checkpointCount())
 		if out.Stop.String() != "exit" || out.ExitCode != 0 || out.TimedOut {
 			w.goldenErr = fmt.Errorf("workloads: golden run of %s failed: stop=%v exit=%d timeout=%v kill=%q panic=%q",
 				w.Name, out.Stop, out.ExitCode, out.TimedOut, out.KillMsg, out.PanicMsg)
@@ -145,6 +146,7 @@ func (w *Workload) deriveGolden() {
 			Stdout:    out.Stdout,
 			ExitCode:  out.ExitCode,
 		}
+		w.ckptCycles, w.ckptSnaps = cycles, snaps
 		if OnGoldenDerived != nil {
 			OnGoldenDerived(w.Name)
 		}
